@@ -7,7 +7,6 @@ module T = Ovo_boolfun.Truthtable
 module F = Ovo_boolfun.Families
 module Fs = Ovo_core.Fs
 module C = Ovo_core.Compact
-module Cost = Ovo_core.Cost
 module E = Ovo_core.Eval_order
 module O = Ovo_quantum.Opt_obdd
 module P = Ovo_quantum.Params
@@ -19,10 +18,9 @@ module Nm = Ovo_numerics.Maths
 let section name = Printf.printf "\n================ [%s] ================\n" name
 
 let measured_cells f =
-  let before = Cost.snapshot () in
-  let result = f () in
-  let after = Cost.snapshot () in
-  (result, float_of_int (Cost.diff after before).Cost.table_cells)
+  let metrics = Ovo_core.Metrics.create () in
+  let result = f metrics in
+  (result, float_of_int metrics.Ovo_core.Metrics.table_cells)
 
 (* ------------------------------------------------------------------ *)
 
@@ -101,7 +99,7 @@ let thm5_scaling () =
   let points = ref [] in
   for n = 4 to 13 do
     let tt = T.random (Random.State.make [| n |]) n in
-    let _, cells = measured_cells (fun () -> Fs.run tt) in
+    let _, cells = measured_cells (fun metrics -> Fs.run ~metrics tt) in
     points := (n, cells) :: !points;
     Printf.printf "%3d %15.0f %15.0f %8.4f\n" n cells (Np.fs_cells n)
       (cells /. Np.fs_cells n)
@@ -125,7 +123,7 @@ let quantum_vs_classical () =
     "OptOBDD(6)" "tower-2";
   for n = 4 to 11 do
     let tt = T.random (Random.State.make [| 7 * n |]) n in
-    let _, fs_cells = measured_cells (fun () -> Fs.run tt) in
+    let _, fs_cells = measured_cells (fun metrics -> Fs.run ~metrics tt) in
     let ctx = O.make_ctx () in
     let _, qcost = O.minimize ~ctx (O.theorem10 ()) tt in
     let tower_cost =
@@ -428,10 +426,11 @@ let shared_bench () =
       in
       let n = T.arity outputs.(0) in
       let blocked =
-        (Ovo_core.Shared.compact_chain
-           (Ovo_core.Shared.of_truthtables C.Bdd outputs)
+        (C.compact_chain
+           (C.initial_shared C.Bdd
+              (Array.map Ovo_boolfun.Mtable.of_truthtable outputs))
            (Array.init n (fun i -> i)))
-          .Ovo_core.Shared.mincost
+          .C.mincost
       in
       let qshared =
         if n <= 6 then begin
@@ -550,10 +549,8 @@ let engine_bench () =
     cores;
   let ms = Ovo_core.Metrics.snapshot seq_metrics in
   Printf.printf
-    "two-pass accounting: %d cost probes elected %d materialised winners\n\
-     (node-table copies %d - one per winner, none per losing candidate)\n"
-    ms.Ovo_core.Metrics.s_cost_probes ms.Ovo_core.Metrics.s_states_materialised
-    ms.Ovo_core.Metrics.s_node_table_copies;
+    "two-pass accounting: %d cost probes elected %d materialised winners\n"
+    ms.Ovo_core.Metrics.s_cost_probes ms.Ovo_core.Metrics.s_states_materialised;
   let doc =
     Ovo_obs.Json.Obj
       [

@@ -493,10 +493,11 @@ let optimize_cmd =
         | None -> assert false)
     | Ok tt -> (
         let with_eval name order =
-          let st = Ovo_core.Eval_order.state ~kind tt order in
+          let metrics = Ovo_core.Metrics.create () in
+          let st = Ovo_core.Eval_order.state ~kind ~metrics tt order in
           print_result ~save ~algo:name ~modeled:None (Ovo_core.Fs.of_state st)
             dot;
-          emit_stats stats Ovo_core.Metrics.ambient;
+          emit_stats stats metrics;
           `Ok ()
         in
         try

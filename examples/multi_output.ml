@@ -66,9 +66,12 @@ let () =
     (pkg_size = shared.S.size);
 
   (* the blocked ordering pays a visible price on the shared diagram *)
-  let blocked = S.compact_chain (S.of_truthtables Ovo_core.Compact.Bdd outputs)
+  let blocked =
+    Ovo_core.Compact.compact_chain
+      (Ovo_core.Compact.initial_shared Ovo_core.Compact.Bdd
+         (Array.map Ovo_boolfun.Mtable.of_truthtable outputs))
       (Array.init n (fun i -> i))
   in
   Printf.printf "blocked ordering instead: %d nodes (%.1fx the optimum)\n"
-    blocked.S.mincost
-    (float_of_int blocked.S.mincost /. float_of_int shared.S.mincost)
+    blocked.Ovo_core.Compact.mincost
+    (float_of_int blocked.Ovo_core.Compact.mincost /. float_of_int shared.S.mincost)

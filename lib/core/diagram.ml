@@ -1,4 +1,4 @@
-type node = { var : int; lo : int; hi : int }
+type node = Compact.node = { var : int; lo : int; hi : int }
 
 type t = {
   n : int;
@@ -12,18 +12,13 @@ type t = {
 let of_state (st : Compact.state) =
   if not (Compact.is_complete st) then
     invalid_arg "Diagram.of_state: state not complete";
-  let count = st.next_id - st.num_terminals in
-  let nodes = Array.make count { var = -1; lo = 0; hi = 0 } in
-  Hashtbl.iter
-    (fun (var, lo, hi) id -> nodes.(id - st.num_terminals) <- { var; lo; hi })
-    st.node;
   {
     n = st.n;
     kind = st.kind;
     num_terminals = st.num_terminals;
     root = Compact.root st;
     order = Array.of_list (Compact.order st);
-    nodes;
+    nodes = Compact.nodes st;
   }
 
 let node_count d = Array.length d.nodes
@@ -103,37 +98,47 @@ let check d mt =
 
 let check_tt d tt = check d (Ovo_boolfun.Mtable.of_truthtable tt)
 
-let of_parts ~kind ~n ~num_terminals ~order ~nodes ~root =
-  if num_terminals < 1 then failwith "Diagram.of_parts: need a terminal";
-  if Array.length order <> n then failwith "Diagram.of_parts: order length";
+(* The checks shared by {!of_parts} and {!deserialize}; [who] prefixes
+   the error.  Every node is range-checked before any edge is followed,
+   so the descent check only ever reads validated nodes. *)
+let validated ~who ~kind ~n ~num_terminals ~order ~nodes ~root =
+  let fail fmt = Printf.ksprintf (fun m -> failwith (who ^ ": " ^ m)) fmt in
+  if num_terminals < 1 then fail "need a terminal";
+  if Array.length order <> n then fail "order length";
   let seen = Array.make (max n 1) false in
   Array.iter
     (fun v ->
-      if v < 0 || v >= n || seen.(v) then
-        failwith "Diagram.of_parts: order is not a permutation";
+      if v < 0 || v >= n || seen.(v) then fail "order is not a permutation";
       seen.(v) <- true)
     order;
   let max_id = num_terminals + Array.length nodes in
-  if root < 0 || root >= max_id then failwith "Diagram.of_parts: bad root";
+  if root < 0 || root >= max_id then fail "bad root";
+  Array.iteri
+    (fun i nd ->
+      if nd.var < 0 || nd.var >= n then
+        fail "node %d: variable out of range" (i + num_terminals);
+      if nd.lo < 0 || nd.lo >= max_id || nd.hi < 0 || nd.hi >= max_id then
+        fail "node %d: dangling child" (i + num_terminals))
+    nodes;
   let level_of_var = Array.make (max n 1) (-1) in
   Array.iteri (fun j v -> level_of_var.(v) <- j) order;
-  Array.iter
-    (fun nd ->
-      if nd.var < 0 || nd.var >= n then
-        failwith "Diagram.of_parts: variable out of range";
-      if nd.lo < 0 || nd.lo >= max_id || nd.hi < 0 || nd.hi >= max_id then
-        failwith "Diagram.of_parts: dangling child";
+  Array.iteri
+    (fun i nd ->
       let check_child c =
         if
           c >= num_terminals
           && level_of_var.(nodes.(c - num_terminals).var)
              >= level_of_var.(nd.var)
-        then failwith "Diagram.of_parts: edge does not descend"
+        then fail "node %d: edge does not descend" (i + num_terminals)
       in
       check_child nd.lo;
       check_child nd.hi)
     nodes;
-  { n; kind; num_terminals; root; order; nodes = Array.copy nodes }
+  { n; kind; num_terminals; root; order; nodes }
+
+let of_parts ~kind ~n ~num_terminals ~order ~nodes ~root =
+  validated ~who:"Diagram.of_parts" ~kind ~n ~num_terminals ~order
+    ~nodes:(Array.copy nodes) ~root
 
 let serialize d =
   let buf = Buffer.create 256 in
@@ -160,6 +165,11 @@ let deserialize text =
   let fail line msg =
     failwith (Printf.sprintf "Diagram.deserialize: line %d: %s" line msg)
   in
+  let int_at line w =
+    match int_of_string_opt w with
+    | Some v -> v
+    | None -> fail line (Printf.sprintf "not an integer: %S" w)
+  in
   let lines =
     String.split_on_char '\n' text
     |> List.mapi (fun i l -> (i + 1, String.trim l))
@@ -170,66 +180,39 @@ let deserialize text =
       String.split_on_char ' ' l |> List.filter (fun w -> w <> "") )
   in
   match List.map words lines with
-  | (l1, [ "ovo-diagram"; "1" ])
+  | (_, [ "ovo-diagram"; "1" ])
     :: (l2, "kind" :: [ kind_word ])
-    :: (_, "n" :: [ n_word ])
-    :: (_, "terminals" :: [ t_word ])
+    :: (ln, "n" :: [ n_word ])
+    :: (lt, "terminals" :: [ t_word ])
     :: (lo_line, "order" :: order_words)
-    :: (_, "root" :: [ root_word ])
+    :: (lr, "root" :: [ root_word ])
     :: (lc, "nodes" :: [ count_word ])
     :: node_lines ->
-      ignore l1;
       let kind =
         match kind_word with
         | "bdd" -> Compact.Bdd
         | "zdd" -> Compact.Zdd
         | _ -> fail l2 "unknown kind"
       in
-      let n = int_of_string n_word in
-      let num_terminals = int_of_string t_word in
-      if num_terminals < 1 then fail l2 "need at least one terminal";
-      let order = Array.of_list (List.map int_of_string order_words) in
-      if Array.length order <> n then fail lo_line "order length mismatch";
-      let seen = Array.make (max n 1) false in
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n || seen.(v) then
-            fail lo_line "order is not a permutation";
-          seen.(v) <- true)
-        order;
-      let count = int_of_string count_word in
+      let n = int_at ln n_word in
+      let num_terminals = int_at lt t_word in
+      let order = Array.of_list (List.map (int_at lo_line) order_words) in
+      let root = int_at lr root_word in
+      let count = int_at lc count_word in
       if List.length node_lines <> count then fail lc "node count mismatch";
-      let nodes = Array.make count { var = -1; lo = 0; hi = 0 } in
-      let max_id = num_terminals + count in
-      List.iteri
-        (fun i (lineno, ws) ->
-          match List.map int_of_string ws with
-          | [ id; var; lo; hi ] ->
-              if id <> i + num_terminals then fail lineno "ids must be dense";
-              if var < 0 || var >= n then fail lineno "variable out of range";
-              if lo < 0 || lo >= max_id || hi < 0 || hi >= max_id then
-                fail lineno "dangling child reference";
-              nodes.(i) <- { var; lo; hi }
-          | _ | (exception Failure _) -> fail lineno "malformed node line")
-        node_lines;
-      let root = int_of_string root_word in
-      if root < 0 || root >= max_id then failwith "Diagram.deserialize: bad root";
-      (* ordering sanity: every edge must descend strictly in level *)
-      let level_of_var = Array.make (max n 1) (-1) in
-      Array.iteri (fun j v -> level_of_var.(v) <- j) order;
-      Array.iter
-        (fun nd ->
-          let check_child c =
-            if
-              c >= num_terminals
-              && level_of_var.(nodes.(c - num_terminals).var)
-                 >= level_of_var.(nd.var)
-            then failwith "Diagram.deserialize: edge does not descend"
-          in
-          check_child nd.lo;
-          check_child nd.hi)
-        nodes;
-      { n; kind; num_terminals; root; order; nodes }
+      let nodes =
+        Array.of_list
+          (List.mapi
+             (fun i (lineno, ws) ->
+               match List.map int_of_string ws with
+               | [ id; var; lo; hi ] ->
+                   if id <> i + num_terminals then fail lineno "ids must be dense";
+                   { var; lo; hi }
+               | _ | (exception Failure _) -> fail lineno "malformed node line")
+             node_lines)
+      in
+      validated ~who:"Diagram.deserialize" ~kind ~n ~num_terminals ~order
+        ~nodes ~root
   | _ -> failwith "Diagram.deserialize: malformed header"
 
 let to_dot ?(name = "diagram") d =

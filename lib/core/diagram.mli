@@ -1,15 +1,16 @@
 (** Explicit decision diagrams extracted from a completed compaction.
 
     The FS dynamic program works on tables; once a state is complete (all
-    variables placed) its [NODE] set is exactly the node set of the
-    reduced diagram [B(f, π)] for the achieved ordering [π].  This module
+    variables placed) the nodes its compactions created
+    ({!Compact.nodes}) are exactly the node set of the reduced diagram
+    [B(f, π)] for the achieved ordering [π].  This module
     turns that into a first-class value: an array of [(var, lo, hi)]
     nodes plus the root, with evaluation, size, export and a validity
     check (the paper's Theorem 1 guarantees the produced OBDD is always a
     valid diagram for [f], even in the error branch of the quantum
     algorithm — [check] is how the tests enforce that). *)
 
-type node = { var : int; lo : int; hi : int }
+type node = Compact.node = { var : int; lo : int; hi : int }
 
 type t = private {
   n : int;  (** number of variables *)
@@ -21,6 +22,10 @@ type t = private {
 }
 
 val of_state : Compact.state -> t
+(** The diagram of a complete single-root state; its nodes come from
+    one {!Compact.nodes} replay.  Raises [Invalid_argument] on an
+    incomplete or multi-root state. *)
+
 val of_parts :
   kind:Compact.kind ->
   n:int ->
@@ -29,10 +34,12 @@ val of_parts :
   nodes:node array ->
   root:int ->
   t
-(** Checked constructor (the validation of {!deserialize} without the
-    text): ranges, ordering permutation and strict level descent are
-    enforced; raises [Failure] on violations.  Used by
-    {!Ovo_core.Shared} to export per-root views of a shared diagram. *)
+(** Checked constructor ({!deserialize} parses its text and then runs
+    the same validation): the ordering must be a permutation, the root
+    and every node's variable and children in range, and every edge
+    must descend strictly in level; raises [Failure] on violations.
+    Used by {!Ovo_core.Shared} to export per-root views of a shared
+    diagram. *)
 
 val node_count : t -> int
 (** Non-terminal nodes (the paper's [MINCOST]). *)

@@ -8,12 +8,15 @@ let check_permutation n order =
       seen.(v) <- true)
     order
 
-let state_mtable ?(kind = Compact.Bdd) mt order =
+let state_mtable ?(kind = Compact.Bdd) ?(metrics = Metrics.create ()) mt
+    order =
   check_permutation (Ovo_boolfun.Mtable.arity mt) order;
-  Compact.compact_chain (Compact.initial kind mt) order
+  Array.fold_left
+    (fun st i -> Compact.compact ~metrics st i)
+    (Compact.initial kind mt) order
 
-let state ?kind tt order =
-  state_mtable ?kind (Ovo_boolfun.Mtable.of_truthtable tt) order
+let state ?kind ?metrics tt order =
+  state_mtable ?kind ?metrics (Ovo_boolfun.Mtable.of_truthtable tt) order
 
 let mincost ?kind tt order = (state ?kind tt order).Compact.mincost
 

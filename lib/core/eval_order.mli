@@ -8,12 +8,22 @@
     the variable read last (the paper's [π[1]]). *)
 
 val state :
-  ?kind:Compact.kind -> Ovo_boolfun.Truthtable.t -> int array -> Compact.state
-(** Complete compaction state under the given ordering.  Raises
-    [Invalid_argument] if [order] is not a permutation of the variables. *)
+  ?kind:Compact.kind ->
+  ?metrics:Metrics.t ->
+  Ovo_boolfun.Truthtable.t ->
+  int array ->
+  Compact.state
+(** Complete compaction state under the given ordering; the [n]
+    compactions are charged to [metrics] (default a fresh context).
+    Raises [Invalid_argument] if [order] is not a permutation of the
+    variables. *)
 
 val state_mtable :
-  ?kind:Compact.kind -> Ovo_boolfun.Mtable.t -> int array -> Compact.state
+  ?kind:Compact.kind ->
+  ?metrics:Metrics.t ->
+  Ovo_boolfun.Mtable.t ->
+  int array ->
+  Compact.state
 (** Multi-terminal variant. *)
 
 val mincost :

@@ -30,7 +30,7 @@ val run :
   result
 (** Minimum OBDD ([kind = Bdd], default) or ZDD ([kind = Zdd]) for a
     Boolean function.  [engine] (default {!Engine.Seq}) splits each DP
-    layer across domains; [metrics] (default {!Metrics.ambient}) receives
+    layer across domains; [metrics] (default a fresh context) receives
     the run's counters; a recording [trace] (default
     {!Ovo_obs.Trace.null}) gets one span per DP layer plus per-domain
     child spans under {!Engine.Par}.  [cancel] (default {!Cancel.never})
@@ -79,7 +79,7 @@ val all_mincosts :
 (** [MINCOST_I] for every subset [I ⊆ \[n\]] — the full DP table, used by
     the Lemma 4 / Lemma 9 verification tests and by the divide-and-conquer
     cross-checks.  The table has [2^n] entries.  Runs in pure cost-table
-    mode: no per-candidate node-table copies, no layer of states kept. *)
+    mode: no layer of states kept. *)
 
 val of_state : Compact.state -> result
 (** Package a complete compaction state (any provenance: FS, FS*, or the

@@ -15,6 +15,11 @@
     algorithms.  Running to [k = |J|] with [I = ∅], [J = \[n\]] is the
     original algorithm FS (Theorem 5). *)
 
+module Dp : Subset_dp.DP with type state = Compact.state
+(** The one subset DP over {!Compact} states, single- and multi-root
+    alike; the functions below are its [FS*] entry points.  The quantum
+    algorithms ({!Ovo_quantum.Opt_generic}) drive it directly. *)
+
 type t = private {
   base_assigned : Varset.t;  (** the set [I] of the base state *)
   j_set : Varset.t;
@@ -53,7 +58,7 @@ val run :
     state's free variables; [upto] defaults to [|j_set|] (full run).
     Raises [Invalid_argument] on violations.  [engine] (default
     {!Engine.Seq}) splits each cardinality layer across domains;
-    [metrics] (default {!Metrics.ambient}) receives the run's counters,
+    [metrics] (default a fresh context) receives the run's counters,
     aggregated across domains; [cancel] (default {!Cancel.never}) is
     polled between layers; [on_layer]/[resume] checkpoint and resume the
     sweep at those same boundaries — see {!Subset_dp.Make.run}. *)

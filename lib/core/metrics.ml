@@ -65,15 +65,8 @@ let merge_into ~into m =
 let add_cells m n = m.table_cells <- m.table_cells + n
 let add_probe m = m.cost_probes <- m.cost_probes + 1
 let add_compaction m = m.compactions <- m.compactions + 1
-let add_node m = m.node_creations <- m.node_creations + 1
+let add_nodes m n = m.node_creations <- m.node_creations + n
 let add_state m = m.states_materialised <- m.states_materialised + 1
-let add_copy m = m.node_table_copies <- m.node_table_copies + 1
-
-(* The process-global context backing the legacy {!Cost} API and the
-   default of the counting entry points.  Only ever written from the
-   domain that runs the DP main loop (worker domains count into scratch
-   contexts that are merged after the join), so it stays race-free. *)
-let ambient = create ()
 
 let pp ppf s =
   Format.fprintf ppf

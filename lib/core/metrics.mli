@@ -1,11 +1,11 @@
-(** Per-run operation accounting — the replacement for the global
-    counters of {!Cost}.
+(** Per-run operation accounting.
 
     A {!t} is a mutable context owned by one run of a dynamic program (or
     by one worker domain of a parallel run; see {!Engine}).  The core
-    algorithms take the context explicitly, so concurrent runs — or the
-    per-layer worker domains of {!Engine.Par} — never contaminate each
-    other: each domain counts into its own scratch context and the engine
+    algorithms take the context explicitly — an omitted [?metrics] is a
+    fresh context nobody reads — so concurrent runs, or the per-layer
+    worker domains of {!Engine.Par}, never contaminate each other: each
+    domain counts into its own scratch context and the engine
     {!merge_into}s the scratches after the join.
 
     Counter discipline (chosen so that [table_cells] keeps the exact
@@ -13,20 +13,26 @@
     processed while {e evaluating a candidate}):
 
     - {!Compact.compact} (a direct, stand-alone compaction): charges
-      [table_cells], [compactions], [node_creations], [node_table_copies].
-    - {!Compact.width_if_compacted} (the allocation-free cost probe):
-      charges [table_cells] and [cost_probes] — a probe does the same
-      cell scan a compaction would, it just materialises nothing.
+      [table_cells], [compactions] and [node_creations].
+    - {!Compact.width_if_compacted} (the cost probe): charges
+      [table_cells] and [cost_probes] — a probe does the same cell scan
+      a compaction would, it just writes no table.
     - {!Compact.materialise} (building the already-costed winner inside
-      the DP): charges [states_materialised], [node_table_copies] and
-      [node_creations] but {e not} [table_cells] — its cells were already
-      charged by the probe that elected it.
+      the DP): charges [states_materialised] and [node_creations] but
+      {e not} [table_cells] — its cells were already charged by the
+      probe that elected it.
+    - {!Compact.nodes} (recovering a final diagram's nodes by replay)
+      charges nothing.
 
     With this discipline the measured [table_cells] of a full {!Fs.run}
-    is exactly the paper's [n·3^(n-1)] (Theorem 5), as before the
-    two-pass refactor, while the new counters expose what the refactor
-    eliminated: [node_table_copies] now equals the number of winners
-    materialised instead of the number of candidates tried. *)
+    is exactly the paper's [n·3^(n-1)] (Theorem 5).
+
+    [node_table_copies] always reads 0.  It counted the per-state copies
+    of the node set [NODE_I] that DP states used to carry; states now
+    keep only [TABLE_I] and [MINCOST_I] ({!Compact}), so no copy is
+    taken.  The field stays in the record and in the JSON schema so
+    that readers of [--stats json], trace span arguments and benchmark
+    reports keep a stable shape. *)
 
 type t = private {
   mutable table_cells : int;
@@ -35,7 +41,7 @@ type t = private {
   mutable compactions : int;  (** stand-alone {!Compact.compact} steps *)
   mutable node_creations : int;  (** fresh diagram nodes allocated *)
   mutable states_materialised : int;  (** winner states built by the DP *)
-  mutable node_table_copies : int;  (** [NODE] hashtable copies taken *)
+  mutable node_table_copies : int;  (** always 0; see above *)
 }
 
 type snapshot = {
@@ -67,16 +73,9 @@ val merge_into : into:t -> t -> unit
 val add_cells : t -> int -> unit
 val add_probe : t -> unit
 val add_compaction : t -> unit
-val add_node : t -> unit
+val add_nodes : t -> int -> unit
 val add_state : t -> unit
-val add_copy : t -> unit
 (** Incrementors used by the core algorithms. *)
-
-val ambient : t
-(** The process-global context behind the deprecated {!Cost} API; it is
-    also the default context of the counting entry points, so legacy
-    [Cost.snapshot]-diff measurements keep working.  Written only by the
-    calling domain, never from {!Engine.Par} workers. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable one-liner, for [--stats text]. *)

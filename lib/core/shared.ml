@@ -1,253 +1,49 @@
-type state = {
-  n : int;
-  kind : Compact.kind;
-  num_terminals : int;
-  assigned : Varset.t;
-  order_rev : int list;
-  tables : int array array;
-  node : (int * int * int, int) Hashtbl.t;
+type result = {
   mincost : int;
-  next_id : int;
+  size : int;
+  order : int array;
+  state : Compact.state;
 }
 
-let initial kind mts =
-  let m = Array.length mts in
-  if m = 0 then invalid_arg "Shared.initial: need at least one root";
-  let n = Ovo_boolfun.Mtable.arity mts.(0) in
-  let num_terminals = Ovo_boolfun.Mtable.num_values mts.(0) in
-  Array.iter
-    (fun mt ->
-      if Ovo_boolfun.Mtable.arity mt <> n then
-        invalid_arg "Shared.initial: arity mismatch";
-      if Ovo_boolfun.Mtable.num_values mt <> num_terminals then
-        invalid_arg "Shared.initial: value alphabet mismatch")
-    mts;
-  {
-    n;
-    kind;
-    num_terminals;
-    assigned = Varset.empty;
-    order_rev = [];
-    tables =
-      Array.map (fun mt -> Array.init (1 lsl n) (Ovo_boolfun.Mtable.eval mt)) mts;
-    node = Hashtbl.create 16;
-    mincost = 0;
-    next_id = num_terminals;
-  }
-
-let of_truthtables kind tts =
-  initial kind (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
-
-let check_var name st i =
-  if i < 0 || i >= st.n then
-    invalid_arg (Printf.sprintf "Shared.%s: variable out of range" name);
-  if Varset.mem i st.assigned then
-    invalid_arg (Printf.sprintf "Shared.%s: variable already assigned" name)
-
-(* One compaction across every root's table; the node set — and hence the
-   objective — is shared, so a subfunction used by several outputs is
-   created and counted once.  [charge] selects the accounting: `Direct
-   prices the scan as the theorems do (cells + a compaction); `Materialise
-   records only the DP-winner counters, the probe that elected it having
-   already paid for the cells. *)
-let compact_gen ~charge ~metrics st i =
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let old_len = Array.length st.tables.(0) in
-  let new_len = old_len / 2 in
-  let node = Hashtbl.copy st.node in
-  let mincost = ref st.mincost in
-  let next_id = ref st.next_id in
-  let low_mask = (1 lsl p) - 1 in
-  let compact_table table =
-    let out = Array.make (max new_len 1) 0 in
-    for b = 0 to new_len - 1 do
-      let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-      let lo = table.(idx0) in
-      let hi = table.(idx0 lor (1 lsl p)) in
-      let elided = match st.kind with Compact.Bdd -> lo = hi | Compact.Zdd -> hi = 0 in
-      if elided then out.(b) <- lo
-      else
-        let key = (i, lo, hi) in
-        match Hashtbl.find_opt node key with
-        | Some u -> out.(b) <- u
-        | None ->
-            let u = !next_id in
-            incr next_id;
-            incr mincost;
-            Metrics.add_node metrics;
-            Hashtbl.add node key u;
-            out.(b) <- u
-    done;
-    out
-  in
-  let tables = Array.map compact_table st.tables in
-  Metrics.add_copy metrics;
-  (match charge with
-  | `Direct ->
-      Metrics.add_cells metrics (new_len * Array.length st.tables);
-      Metrics.add_compaction metrics
-  | `Materialise -> Metrics.add_state metrics);
-  {
-    st with
-    assigned = Varset.add i st.assigned;
-    order_rev = i :: st.order_rev;
-    tables;
-    node;
-    mincost = !mincost;
-    next_id = !next_id;
-  }
-
-let compact ?(metrics = Metrics.ambient) st i =
-  check_var "compact" st i;
-  compact_gen ~charge:`Direct ~metrics st i
-
-let materialise ?(metrics = Metrics.ambient) st i =
-  check_var "materialise" st i;
-  compact_gen ~charge:`Materialise ~metrics st i
-
-(* Cost-only kernel: how many fresh shared nodes a compaction on [i]
-   would create, across all roots, with no allocation.  As in
-   {!Compact.width_if_compacted}, no key [(i, _, _)] can pre-exist in
-   [st.node] because [i] is unassigned, so it suffices to count distinct
-   non-elided [(lo, hi)] pairs over every table's scan. *)
-let width_if_compacted ?(metrics = Metrics.ambient) st i =
-  check_var "width_if_compacted" st i;
-  let freeset = Varset.diff (Varset.full st.n) st.assigned in
-  let p = Varset.rank_in i freeset in
-  let old_len = Array.length st.tables.(0) in
-  let new_len = old_len / 2 in
-  let low_mask = (1 lsl p) - 1 in
-  let seen = Hashtbl.create 64 in
-  let fresh = ref 0 in
-  Array.iter
-    (fun table ->
-      for b = 0 to new_len - 1 do
-        let idx0 = ((b lsr p) lsl (p + 1)) lor (b land low_mask) in
-        let lo = table.(idx0) in
-        let hi = table.(idx0 lor (1 lsl p)) in
-        let elided =
-          match st.kind with Compact.Bdd -> lo = hi | Compact.Zdd -> hi = 0
-        in
-        if (not elided) && not (Hashtbl.mem seen (lo, hi)) then begin
-          Hashtbl.add seen (lo, hi) ();
-          incr fresh
-        end
-      done)
-    st.tables;
-  Metrics.add_cells metrics (new_len * Array.length st.tables);
-  Metrics.add_probe metrics;
-  !fresh
-
-let compact_chain st vars =
-  Array.fold_left (fun st i -> compact st i) st vars
-
-let free st = Varset.diff (Varset.full st.n) st.assigned
-let order st = List.rev st.order_rev
-let is_complete st = st.assigned = Varset.full st.n
-
-let roots st =
-  if not (is_complete st) then invalid_arg "Shared.roots: state not complete";
+let roots (st : Compact.state) =
+  if not (Compact.is_complete st) then
+    invalid_arg "Shared.roots: state not complete";
   Array.map (fun table -> table.(0)) st.tables
 
-(* As Diagram.eval, against the shared node store. *)
-let eval st ~root code =
-  if not (is_complete st) then invalid_arg "Shared.eval: state not complete";
-  if root < 0 || root >= Array.length st.tables then invalid_arg "Shared.eval";
-  let nodes = Array.make (st.next_id - st.num_terminals) (-1, 0, 0) in
-  Hashtbl.iter
-    (fun (var, lo, hi) id -> nodes.(id - st.num_terminals) <- (var, lo, hi))
-    st.node;
-  let order = Array.of_list (order st) in
-  let cur = ref st.tables.(root).(0) in
-  let dead = ref false in
-  for level = st.n - 1 downto 0 do
-    let v = order.(level) in
-    let bit = code land (1 lsl v) <> 0 in
-    if not !dead then
-      if !cur < st.num_terminals then begin
-        match st.kind with
-        | Compact.Bdd -> ()
-        | Compact.Zdd -> if bit then dead := true
-      end
-      else
-        let var, lo, hi = nodes.(!cur - st.num_terminals) in
-        if var = v then cur := (if bit then hi else lo)
-        else begin
-          match st.kind with
-          | Compact.Bdd -> ()
-          | Compact.Zdd -> if bit then dead := true
-        end
-  done;
-  if !dead then 0 else !cur
-
-let check st mts =
-  Array.length mts = Array.length st.tables
-  && Array.for_all (fun mt -> Ovo_boolfun.Mtable.arity mt = st.n) mts
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun root mt ->
-      for code = 0 to (1 lsl st.n) - 1 do
-        if eval st ~root code <> Ovo_boolfun.Mtable.eval mt code then ok := false
-      done)
-    mts;
-  !ok
-
-module Dp = Subset_dp.Make (struct
-  type nonrec state = state
-
-  let cost_if_compacted ~metrics st h =
-    st.mincost + width_if_compacted ~metrics st h
-
-  let materialise ~metrics st h = materialise ~metrics st h
-  let mincost st = st.mincost
-  let free = free
-end)
-
-type result = { mincost : int; size : int; order : int array; state : state }
-
-let reachable_terminals st =
-  let seen = Array.make st.num_terminals false in
-  Array.iter
-    (fun table -> if table.(0) < st.num_terminals then seen.(table.(0)) <- true)
-    st.tables;
-  Hashtbl.iter
-    (fun (_, lo, hi) _ ->
-      if lo < st.num_terminals then seen.(lo) <- true;
-      if hi < st.num_terminals then seen.(hi) <- true)
-    st.node;
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen
-
-let diagrams st =
-  if not (is_complete st) then invalid_arg "Shared.diagrams: state not complete";
-  let count = st.next_id - st.num_terminals in
-  let nodes =
-    Array.make count { Diagram.var = -1; Diagram.lo = 0; Diagram.hi = 0 }
-  in
-  Hashtbl.iter
-    (fun (var, lo, hi) id ->
-      nodes.(id - st.num_terminals) <- { Diagram.var; lo; hi })
-    st.node;
-  let order = Array.of_list (order st) in
+let diagrams (st : Compact.state) =
+  if not (Compact.is_complete st) then
+    invalid_arg "Shared.diagrams: state not complete";
+  let nodes = Compact.nodes st and order = Array.of_list (Compact.order st) in
   Array.map
-    (fun table ->
+    (fun root ->
       Diagram.of_parts ~kind:st.kind ~n:st.n ~num_terminals:st.num_terminals
-        ~order ~nodes ~root:table.(0))
-    st.tables
+        ~order ~nodes ~root)
+    (roots st)
 
-let of_state st =
-  if not (is_complete st) then invalid_arg "Shared.of_state: state not complete";
+let check (st : Compact.state) mts =
+  Array.length mts = Array.length st.tables
+  && Array.for_all2 Diagram.check (diagrams st) mts
+
+let of_state (st : Compact.state) =
+  let seen = Array.make st.num_terminals false in
+  let mark u = if u < st.num_terminals then seen.(u) <- true in
+  Array.iter mark (roots st);
+  Array.iter
+    (fun (nd : Compact.node) ->
+      mark nd.lo;
+      mark nd.hi)
+    (Compact.nodes st);
+  let terminals = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen in
   {
     mincost = st.mincost;
-    size = st.mincost + reachable_terminals st;
-    order = Array.of_list (order st);
+    size = st.mincost + terminals;
+    order = Array.of_list (Compact.order st);
     state = st;
   }
 
 let minimize_mtables ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd)
     ?engine ?cancel ?metrics ?membudget ?prune mts =
-  let base = initial kind mts in
+  let base = Compact.initial_shared kind mts in
   Ovo_obs.Trace.with_span trace ~cat:"fs"
     ~args:(fun () ->
       [
@@ -258,8 +54,8 @@ let minimize_mtables ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd)
     (fun () ->
       let r =
         of_state
-          (Dp.complete ~trace ?engine ?cancel ?metrics ?membudget ?prune ~base
-             (free base))
+          (Fs_star.complete ~trace ?engine ?cancel ?metrics ?membudget ?prune
+             ~base (Compact.free base))
       in
       Option.iter (fun b -> Bound.check_final b r.mincost) prune;
       r)
@@ -268,26 +64,28 @@ let minimize ?trace ?kind ?engine ?cancel ?metrics ?membudget ?prune tts =
   minimize_mtables ?trace ?kind ?engine ?cancel ?metrics ?membudget ?prune
     (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
 
-let to_dot st =
-  if not (is_complete st) then invalid_arg "Shared.to_dot: state not complete";
+let to_dot (st : Compact.state) =
+  let roots = roots st in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "digraph shared {\n  rankdir=TB;\n";
   for t = 0 to st.num_terminals - 1 do
     Buffer.add_string buf
       (Printf.sprintf "  n%d [shape=box,label=\"%d\"];\n" t t)
   done;
-  Hashtbl.iter
-    (fun (var, lo, hi) id ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [shape=circle,label=\"x%d\"];\n" id var);
-      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d [style=dashed];\n" id lo);
-      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" id hi))
-    st.node;
   Array.iteri
-    (fun i table ->
+    (fun i (nd : Compact.node) ->
+      let id = i + st.num_terminals in
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d [shape=circle,label=\"x%d\"];\n" id nd.var);
+      Buffer.add_string buf
+        (Printf.sprintf "  n%d -> n%d [style=dashed];\n" id nd.lo);
+      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" id nd.hi))
+    (Compact.nodes st);
+  Array.iteri
+    (fun i root ->
       Buffer.add_string buf
         (Printf.sprintf "  r%d [shape=plaintext,label=\"f%d\"];\n" i i);
-      Buffer.add_string buf (Printf.sprintf "  r%d -> n%d;\n" i table.(0)))
-    st.tables;
+      Buffer.add_string buf (Printf.sprintf "  r%d -> n%d;\n" i root))
+    roots;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

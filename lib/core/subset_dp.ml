@@ -279,7 +279,68 @@ module Layers = struct
     (mincosts, choices)
 end
 
+module type DP = sig
+  include COMPACTABLE
+
+  type t = {
+    j_set : Varset.t;
+    upto : int;
+    mincosts : (Varset.t, int) Hashtbl.t;
+    layer : (Varset.t, state) Hashtbl.t;
+  }
+
+  val run :
+    ?trace:Trace.t ->
+    ?engine:Engine.t ->
+    ?cancel:Cancel.t ->
+    ?metrics:Metrics.t ->
+    ?membudget:Membudget.t ->
+    ?prune:Bound.t ->
+    ?on_layer:(progress -> unit) ->
+    ?resume:progress list ->
+    ?upto:int ->
+    base:state ->
+    Varset.t ->
+    t
+
+  val costs :
+    ?trace:Trace.t ->
+    ?engine:Engine.t ->
+    ?cancel:Cancel.t ->
+    ?metrics:Metrics.t ->
+    ?membudget:Membudget.t ->
+    ?prune:Bound.t ->
+    ?on_layer:(progress -> unit) ->
+    ?resume:progress list ->
+    ?upto:int ->
+    base:state ->
+    Varset.t ->
+    costs
+
+  val reconstruct :
+    ?trace:Trace.t -> ?metrics:Metrics.t -> base:state -> costs -> Varset.t ->
+    state
+
+  val state_of : t -> Varset.t -> state
+  val mincost_of : t -> Varset.t -> int
+
+  val complete :
+    ?trace:Trace.t ->
+    ?engine:Engine.t ->
+    ?cancel:Cancel.t ->
+    ?metrics:Metrics.t ->
+    ?membudget:Membudget.t ->
+    ?prune:Bound.t ->
+    ?on_layer:(progress -> unit) ->
+    ?resume:progress list ->
+    base:state ->
+    Varset.t ->
+    state
+end
+
 module Make (S : COMPACTABLE) = struct
+  include S
+
   type t = {
     j_set : Varset.t;
     upto : int;
@@ -359,7 +420,8 @@ module Make (S : COMPACTABLE) = struct
   (* Replaying a subset's recorded choice chain over the base yields a
      state bit-identical to the one the original sweep materialised for
      it: node ids are assigned in scan order, which is a deterministic
-     function of the placement sequence alone. *)
+     function of the placement sequence alone (the same argument
+     {!Compact.nodes} rests on). *)
   let chain_of choices ksub =
     let rec go k acc =
       if Varset.is_empty k then acc
@@ -583,7 +645,7 @@ module Make (S : COMPACTABLE) = struct
     | None -> Membudget.unbounded ()
 
   let run ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?(on_layer = fun _ -> ()) ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
@@ -595,7 +657,7 @@ module Make (S : COMPACTABLE) = struct
     { j_set; upto; mincosts; layer }
 
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?(on_layer = fun _ -> ()) ?(resume = []) ?upto ~base j_set =
     let upto = validate ~base j_set upto in
     let mb = membudget_of membudget in
@@ -607,7 +669,7 @@ module Make (S : COMPACTABLE) = struct
     { cost_j_set = j_set; cost_upto = upto; cost_table = mincosts;
       cost_choice = choices }
 
-  let reconstruct ?(trace = Trace.null) ?(metrics = Metrics.ambient) ~base ct
+  let reconstruct ?(trace = Trace.null) ?(metrics = Metrics.create ()) ~base ct
       target =
     if not (Varset.subset target ct.cost_j_set)
        || Varset.cardinal target > ct.cost_upto
@@ -653,7 +715,7 @@ module Make (S : COMPACTABLE) = struct
      reloaded lazily, one fetch per cardinality, and the hashtable form
      is never built. *)
   let complete ?(trace = Trace.null) ?(engine = Engine.Seq)
-      ?(cancel = Cancel.never) ?(metrics = Metrics.ambient) ?membudget ?prune
+      ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
       ?(on_layer = fun _ -> ()) ?(resume = []) ~base j_set =
     let upto = validate ~base j_set None in
     let mb = membudget_of membudget in

@@ -1,8 +1,9 @@
 (** The subset dynamic program of Lemmas 4/7, abstracted over the state
     being compacted — now a {e two-pass} engine.
 
-    Both the single-rooted [FS*] ({!Fs_star}) and the multi-rooted
-    variant ({!Shared}) run the same loop: for growing cardinality [k],
+    [FS*] ({!Fs_star}, over {!Compact} states of one or several roots)
+    and the weighted variant ({!Fs_weighted}) run the same loop: for
+    growing cardinality [k],
     compute the optimal state for every [K ⊆ J] with [|K| = k] by trying
     each [h ∈ K] on top of the optimal state for [K ∖ {h}].  This functor
     captures that loop once; the per-state operations come from the
@@ -11,7 +12,7 @@
     The loop evaluates each subset in two passes: a {e cost pass} probes
     every candidate [h] with the allocation-free [cost_if_compacted]
     kernel, and only the single winner is then materialised — losing
-    candidates never allocate a state or copy a node table.  Layers are
+    candidates never allocate a state.  Layers are
     independent given their predecessor, so an {!Engine.Par} engine
     splits each layer across worker domains, each counting into its own
     {!Metrics.t} scratch; results are deterministic and identical to
@@ -51,7 +52,7 @@ module type COMPACTABLE = sig
   val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
   (** The DP objective the state would have after placing one variable
       on top of the assigned block — computed {e without} building the
-      state (no allocation, no node-table copy).  Must equal
+      state.  Must equal
       [mincost (materialise st h)] exactly. *)
 
   val materialise : metrics:Metrics.t -> state -> int -> state
@@ -95,13 +96,17 @@ val binomial : int -> int -> int
     resume validation (a complete layer [k] over [J] has [C(|J|,k)]
     entries). *)
 
-module Make (S : COMPACTABLE) : sig
+(** A subset DP over one kind of state: its kernels together with the
+    sweep built on them. *)
+module type DP = sig
+  include COMPACTABLE
+
   type t = {
     j_set : Varset.t;
     upto : int;
     mincosts : (Varset.t, int) Hashtbl.t;
         (** [MINCOST⟨base, K⟩] for every computed [K] (including [∅]) *)
-    layer : (Varset.t, S.state) Hashtbl.t;
+    layer : (Varset.t, state) Hashtbl.t;
         (** optimal states at cardinality [upto] *)
   }
 
@@ -115,12 +120,12 @@ module Make (S : COMPACTABLE) : sig
     ?on_layer:(progress -> unit) ->
     ?resume:progress list ->
     ?upto:int ->
-    base:S.state ->
+    base:state ->
     Varset.t ->
     t
   (** As {!Fs_star.run}: requires [j_set ⊆ free base]; [upto] defaults
-      to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to
-      {!Metrics.ambient}.  Intermediate layers are dropped eagerly (only
+      to [|j_set|].  Engine defaults to {!Engine.Seq}; metrics to a
+      fresh context.  Intermediate layers are dropped eagerly (only
       [mincosts] survives), so peak state memory is two adjacent layers
       during the sweep and one — the returned [upto] layer — after.
 
@@ -155,7 +160,7 @@ module Make (S : COMPACTABLE) : sig
     ?on_layer:(progress -> unit) ->
     ?resume:progress list ->
     ?upto:int ->
-    base:S.state ->
+    base:state ->
     Varset.t ->
     costs
   (** Pure cost-table mode: same sweep, but the final layer's states are
@@ -166,16 +171,16 @@ module Make (S : COMPACTABLE) : sig
   val reconstruct :
     ?trace:Ovo_obs.Trace.t ->
     ?metrics:Metrics.t ->
-    base:S.state ->
+    base:state ->
     costs ->
     Varset.t ->
-    S.state
+    state
   (** [reconstruct ~base ct k] materialises an optimal state for [K = k]
       by backtracking [ct.cost_choice] from [k] to [∅] and replaying the
       resulting placement sequence over [base] — [|k|] compactions
       total.  Requires [k ⊆ ct.cost_j_set] and [|k| ≤ ct.cost_upto]. *)
 
-  val state_of : t -> Varset.t -> S.state
+  val state_of : t -> Varset.t -> state
   (** The kept optimal state of a subset at cardinality [upto].  Raises
       {!Bound.Pruned_out} when a pruned sweep discarded it — the subset
       provably heads no ordering beating the incumbent. *)
@@ -192,9 +197,9 @@ module Make (S : COMPACTABLE) : sig
     ?prune:Bound.t ->
     ?on_layer:(progress -> unit) ->
     ?resume:progress list ->
-    base:S.state ->
+    base:state ->
     Varset.t ->
-    S.state
+    state
   (** Full run; the optimal state for [K = J].  A cost-only sweep
       followed by a backtrack {e directly over the packed layers} — the
       hashtable form of {!costs} is never built, at most one layer of
@@ -202,3 +207,5 @@ module Make (S : COMPACTABLE) : sig
       spilled layers are reloaded lazily (one fetch per cardinality), so
       this is the out-of-core entry point {!Fs.run} drives. *)
 end
+
+module Make (S : COMPACTABLE) : DP with type state = S.state

@@ -1,15 +1,6 @@
 module Varset = Ovo_core.Varset
 module Metrics = Ovo_core.Metrics
 
-module type STATE = sig
-  type state
-
-  val cost_if_compacted : metrics:Metrics.t -> state -> int -> int
-  val materialise : metrics:Metrics.t -> state -> int -> state
-  val mincost : state -> int
-  val free : state -> Varset.t
-end
-
 (* Modeled classical cost of [f ()]: table cells charged to the
    context's metrics (nested measurements compose — diffs telescope). *)
 let measured_cells (ctx : Qctx.t) f =
@@ -57,12 +48,11 @@ let log_src = Logs.Src.create "ovo.quantum" ~doc:"simulated quantum algorithms"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-module Make (S : STATE) = struct
-  module Dp = Ovo_core.Subset_dp.Make (S)
+module Make (Dp : Ovo_core.Subset_dp.DP) = struct
 
   type subroutine = {
     label : string;
-    compose : Qctx.t -> S.state -> Varset.t -> S.state * float;
+    compose : Qctx.t -> Dp.state -> Varset.t -> Dp.state * float;
   }
 
   let name sub = sub.label
@@ -138,7 +128,7 @@ module Make (S : STATE) = struct
                   fs_star.compose ctx st_k (Varset.diff j_set ksub)
                 in
                 Hashtbl.replace memo ksub st;
-                (S.mincost st, cost_k +. cost_rest))
+                (Dp.mincost st, cost_k +. cost_rest))
           in
           let outcome =
             with_search_span ctx ~name:"qsearch.simple_split" ~level:1
@@ -210,7 +200,7 @@ module Make (S : STATE) = struct
                         gamma.compose ctx st_k (Varset.diff l ksub)
                       in
                       Hashtbl.replace memo ksub st;
-                      (S.mincost st, cost_k +. cost_rest))
+                      (Dp.mincost st, cost_k +. cost_rest))
                 in
                 let outcome =
                   with_search_span ctx

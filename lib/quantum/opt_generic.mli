@@ -1,27 +1,17 @@
-(** The quantum divide-and-conquer machinery, abstracted over the state
-    being optimised.
+(** The quantum divide-and-conquer machinery, abstracted over the
+    subset DP it composes.
 
     The paper's algorithms never look inside [FS(⟨…⟩)] beyond "compact
     one more variable", "read the cost" and "which variables are free" —
-    the same interface the classical {!Ovo_core.Subset_dp} functor uses.
-    Abstracting over it lets the identical quantum code minimise plain
-    diagrams ({!Opt_obdd}) and multi-rooted shared diagrams
-    ({!Opt_shared}), supporting the paper's closing remark that the
-    speedups carry over to other diagram variants. *)
+    the interface of {!Ovo_core.Subset_dp}.  The functor takes a
+    finished DP instance, so the quantum code drives the same sweep as
+    the classical solvers.  {!Opt_obdd} instantiates it on
+    {!Ovo_core.Fs_star.Dp}, whose {!Ovo_core.Compact} states cover plain
+    and multi-rooted shared diagrams alike ({!Opt_shared}), supporting
+    the paper's closing remark that the speedups carry over to other
+    diagram variants. *)
 
-module type STATE = sig
-  type state
-
-  val cost_if_compacted :
-    metrics:Ovo_core.Metrics.t -> state -> int -> int
-  (** Two-pass DP probe — see {!Ovo_core.Subset_dp.COMPACTABLE}. *)
-
-  val materialise : metrics:Ovo_core.Metrics.t -> state -> int -> state
-  val mincost : state -> int
-  val free : state -> Ovo_core.Varset.t
-end
-
-module Make (S : STATE) : sig
+module Make (Dp : Ovo_core.Subset_dp.DP) : sig
   type subroutine
   (** A procedure extending a state over a free block [J], with modeled
       cost; the composable unit of Lemmas 11/12. *)
@@ -29,10 +19,10 @@ module Make (S : STATE) : sig
   val name : subroutine -> string
 
   val apply :
-    subroutine -> Qctx.t -> S.state -> Ovo_core.Varset.t -> S.state * float
+    subroutine -> Qctx.t -> Dp.state -> Ovo_core.Varset.t -> Dp.state * float
 
   val fs_star : subroutine
-  (** The classical composition (Lemma 8 over [S]); modeled cost =
+  (** The classical composition (Lemma 8 over [Dp]); modeled cost =
       measured table cells. *)
 
   val simple_split : ?alpha:float -> unit -> subroutine
@@ -40,7 +30,7 @@ module Make (S : STATE) : sig
 
   val opt_obdd :
     ?label:string -> k:int -> alpha:float array -> subroutine -> subroutine
-  (** [OptOBDD*_gamma(k, α)] over [S]; see {!Opt_obdd.opt_obdd} for the
+  (** [OptOBDD*_gamma(k, α)] over [Dp]; see {!Opt_obdd.opt_obdd} for the
       parameter contract. *)
 
   val theorem10 : ?k:int -> unit -> subroutine
@@ -51,6 +41,6 @@ module Make (S : STATE) : sig
       [depth] in [1..10]. *)
 
   val run :
-    Qctx.t -> subroutine -> base:S.state -> Ovo_core.Varset.t -> S.state * float
+    Qctx.t -> subroutine -> base:Dp.state -> Ovo_core.Varset.t -> Dp.state * float
   (** Apply a subroutine over a block (alias of {!apply} with labels). *)
 end

@@ -1,16 +1,7 @@
 module Compact = Ovo_core.Compact
 module Fs = Ovo_core.Fs
 
-module Inst = Opt_generic.Make (struct
-  type state = Compact.state
-
-  let cost_if_compacted ~metrics (st : Compact.state) h =
-    st.Compact.mincost + Compact.width_if_compacted ~metrics st h
-
-  let materialise ~metrics st h = Compact.materialise ~metrics st h
-  let mincost (st : Compact.state) = st.Compact.mincost
-  let free = Compact.free
-end)
+module Inst = Opt_generic.Make (Ovo_core.Fs_star.Dp)
 
 type ctx = Qctx.t = {
   rng : Random.State.t option;

@@ -1,29 +1,18 @@
-module Shared = Ovo_core.Shared
+module Compact = Ovo_core.Compact
 
-module Inst = Opt_generic.Make (struct
-  type state = Shared.state
+type subroutine = Opt_obdd.subroutine
 
-  let cost_if_compacted ~metrics (st : Shared.state) h =
-    st.Shared.mincost + Shared.width_if_compacted ~metrics st h
+let name = Opt_obdd.name
+let fs_star = Opt_obdd.fs_star
+let simple_split = Opt_obdd.simple_split
+let opt_obdd = Opt_obdd.opt_obdd
+let theorem10 = Opt_obdd.theorem10
+let tower = Opt_obdd.tower
 
-  let materialise ~metrics st h = Shared.materialise ~metrics st h
-  let mincost (st : Shared.state) = st.Shared.mincost
-  let free = Shared.free
-end)
-
-type subroutine = Inst.subroutine
-
-let name = Inst.name
-let fs_star = Inst.fs_star
-let simple_split = Inst.simple_split
-let opt_obdd = Inst.opt_obdd
-let theorem10 = Inst.theorem10
-let tower = Inst.tower
-
-let minimize_mtables ?(kind = Ovo_core.Compact.Bdd) ~ctx sub mts =
-  let base = Shared.initial kind mts in
-  let state, cost = Inst.run ctx sub ~base (Shared.free base) in
-  (Shared.of_state state, cost)
+let minimize_mtables ?(kind = Compact.Bdd) ~ctx sub mts =
+  let base = Compact.initial_shared kind mts in
+  let state, cost = Opt_obdd.apply sub ctx base (Compact.free base) in
+  (Ovo_core.Shared.of_state state, cost)
 
 let minimize ?kind ~ctx sub tts =
   minimize_mtables ?kind ~ctx sub

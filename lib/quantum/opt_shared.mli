@@ -1,10 +1,10 @@
-(** Quantum (simulated) joint optimisation of multi-rooted diagrams —
-    the {!Opt_generic} machinery instantiated on {!Ovo_core.Shared}
-    states: the same divide-and-conquer, quantum minimum finding and
-    composition tower, minimising the shared node count of several
-    functions at once. *)
+(** Quantum (simulated) joint optimisation of multi-rooted diagrams.
+    A shared state is a {!Ovo_core.Compact} state with several roots, so
+    the {!Opt_obdd} subroutines apply unchanged: the same
+    divide-and-conquer, quantum minimum finding and composition tower,
+    minimising the shared node count of several functions at once. *)
 
-type subroutine
+type subroutine = Opt_obdd.subroutine
 
 val name : subroutine -> string
 
@@ -14,7 +14,7 @@ val opt_obdd :
   ?label:string -> k:int -> alpha:float array -> subroutine -> subroutine
 val theorem10 : ?k:int -> unit -> subroutine
 val tower : depth:int -> subroutine
-(** As in {!Opt_obdd}, over shared states. *)
+(** The {!Opt_obdd} subroutines, re-exported. *)
 
 val minimize :
   ?kind:Ovo_core.Compact.kind ->

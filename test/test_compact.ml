@@ -62,15 +62,15 @@ let unit_tests =
     Helpers.case "initial state is the truth table" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         Helpers.check_int "mincost" 0 st.C.mincost;
-        Helpers.check_int "table len" 4 (Array.length st.C.table);
+        Helpers.check_int "table len" 4 (Array.length st.C.tables.(0));
         Alcotest.(check (list int)) "cells" [ 0; 1; 1; 0 ]
-          (Array.to_list st.C.table));
+          (Array.to_list st.C.tables.(0)));
     Helpers.case "compact xor bottom variable" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         let st1 = C.compact st 1 in
         (* one x1 node: the two cells are (x1) and (!x1), both depend *)
         Helpers.check_int "mincost" 2 st1.C.mincost;
-        Helpers.check_int "table len" 2 (Array.length st1.C.table));
+        Helpers.check_int "table len" 2 (Array.length st1.C.tables.(0)));
     Helpers.case "compact to completion" (fun () ->
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         let st2 = C.compact_chain st [| 0; 1 |] in
@@ -110,7 +110,7 @@ let unit_tests =
         let st = C.of_truthtable C.Bdd (T.of_string "0110") in
         let _ = C.compact st 0 in
         Helpers.check_int "mincost unchanged" 0 st.C.mincost;
-        Helpers.check_int "table unchanged" 4 (Array.length st.C.table));
+        Helpers.check_int "table unchanged" 4 (Array.length st.C.tables.(0)));
     Helpers.case "multi-terminal compaction" (fun () ->
         let mt = Ovo_boolfun.Mtable.of_array ~values:3 [| 0; 1; 2; 1 |] in
         let st = C.compact_chain (C.initial C.Bdd mt) [| 0; 1 |] in
@@ -160,7 +160,7 @@ let props =
       (fun (tt, seed) ->
         let order = Helpers.perm_of_seed seed (T.arity tt) in
         let st = C.compact_chain (C.of_truthtable C.Bdd tt) order in
-        st.C.mincost = Hashtbl.length st.C.node);
+        st.C.mincost = Array.length (C.nodes st));
   ]
 
 let () =

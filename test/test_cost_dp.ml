@@ -1,37 +1,39 @@
 (* The cost counters and the Subset_dp functor, tested directly. *)
 
-module Cost = Ovo_core.Cost
+module M = Ovo_core.Metrics
 module C = Ovo_core.Compact
 module T = Ovo_boolfun.Truthtable
 
 let unit_tests =
   [
     Helpers.case "counters accumulate and diff" (fun () ->
-        let before = Cost.snapshot () in
+        let m = M.create () in
+        let before = M.snapshot m in
         let st = C.of_truthtable C.Bdd (T.of_string "01100110") in
-        let _ = C.compact st 0 in
-        let after = Cost.snapshot () in
-        let d = Cost.diff after before in
-        Helpers.check_int "cells = half the table" 4 d.Cost.table_cells;
-        Helpers.check_int "one compaction" 1 d.Cost.compactions;
-        Helpers.check_bool "nodes counted" true (d.Cost.node_creations >= 1));
+        let _ = C.compact ~metrics:m st 0 in
+        let d = M.diff (M.snapshot m) before in
+        Helpers.check_int "cells = half the table" 4 d.M.s_table_cells;
+        Helpers.check_int "one compaction" 1 d.M.s_compactions;
+        Helpers.check_bool "nodes counted" true (d.M.s_node_creations >= 1));
     Helpers.case "reset zeroes" (fun () ->
-        Cost.reset ();
-        let s = Cost.snapshot () in
-        Helpers.check_int "cells" 0 s.Cost.table_cells;
-        Helpers.check_int "compactions" 0 s.Cost.compactions;
-        Helpers.check_int "nodes" 0 s.Cost.node_creations);
+        let m = M.create () in
+        let _ = C.compact ~metrics:m (C.of_truthtable C.Bdd (T.of_string "0110")) 0 in
+        M.reset m;
+        let s = M.snapshot m in
+        Helpers.check_int "cells" 0 s.M.s_table_cells;
+        Helpers.check_int "compactions" 0 s.M.s_compactions;
+        Helpers.check_int "nodes" 0 s.M.s_node_creations);
     Helpers.case "chain counts a geometric series of cells" (fun () ->
-        Cost.reset ();
+        let m = M.create () in
         let tt = T.random (Helpers.rng 1) 6 in
-        let _ = C.compact_chain (C.of_truthtable C.Bdd tt) [| 0; 1; 2; 3; 4; 5 |] in
-        let s = Cost.snapshot () in
+        let _ = Ovo_core.Eval_order.state ~metrics:m tt [| 0; 1; 2; 3; 4; 5 |] in
+        let s = M.snapshot m in
         (* 32 + 16 + 8 + 4 + 2 + 1 *)
-        Helpers.check_int "cells" 63 s.Cost.table_cells;
-        Helpers.check_int "compactions" 6 s.Cost.compactions);
+        Helpers.check_int "cells" 63 s.M.s_table_cells;
+        Helpers.check_int "compactions" 6 s.M.s_compactions);
     Helpers.case "pp renders all fields" (fun () ->
-        let s = Cost.snapshot () in
-        let text = Format.asprintf "%a" Cost.pp s in
+        let s = M.snapshot (M.create ()) in
+        let text = Format.asprintf "%a" M.pp s in
         Helpers.check_bool "mentions cells" true
           (String.length text > 0
           &&

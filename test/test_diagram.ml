@@ -112,6 +112,25 @@ let serialization_tests =
         match D.deserialize text with
         | _ -> Alcotest.fail "expected failure"
         | exception Failure _ -> ());
+    Helpers.case "of_parts range-checks a node before following an edge to it"
+      (fun () ->
+        (* node 2 points at node 3, whose variable is out of range *)
+        Alcotest.check_raises "range"
+          (Failure "Diagram.of_parts: node 3: variable out of range")
+          (fun () ->
+            ignore
+              (D.of_parts ~kind:C.Bdd ~n:2 ~num_terminals:2 ~order:[| 0; 1 |]
+                 ~nodes:
+                   [| { D.var = 0; lo = 3; hi = 0 }; { D.var = 99; lo = 0; hi = 1 } |]
+                 ~root:2)));
+    Helpers.case "non-numeric header field gives a line-numbered error"
+      (fun () ->
+        Alcotest.check_raises "n x"
+          (Failure "Diagram.deserialize: line 3: not an integer: \"x\"")
+          (fun () ->
+            ignore
+              (D.deserialize
+                 "ovo-diagram 1\nkind bdd\nn x\nterminals 2\norder 0\nroot 0\nnodes 0\n")));
   ]
 
 let props =

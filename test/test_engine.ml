@@ -61,18 +61,14 @@ let unit_tests =
           s.M.s_cost_probes;
         (* exactly one winner per non-empty subset below the top layer is
            materialised; the final layer is skipped in cost mode *)
-        Helpers.check_int "copies = winners"
-          s.M.s_states_materialised s.M.s_node_table_copies;
+        Helpers.check_int "no node-table copies" 0 s.M.s_node_table_copies;
         Helpers.check_int "winners = 2^n - 2"
           ((1 lsl n) - 2)
           s.M.s_states_materialised;
-        (* the point of the refactor: far fewer copies than candidates *)
-        Helpers.check_bool "copies < probes" true
-          (s.M.s_node_table_copies < s.M.s_cost_probes);
         (* cells keep the Theorem 5 meaning: n * 3^(n-1) *)
         let pow3 = int_of_float (3. ** float_of_int (n - 1)) in
         Helpers.check_int "cells = n*3^(n-1)" (n * pow3) s.M.s_table_cells);
-    Helpers.case "Fs.run counts one copy per winner plus reconstruction"
+    Helpers.case "Fs.run counts one winner per subset plus reconstruction"
       (fun () ->
         let n = 5 in
         let tt = T.random (Helpers.rng 22) n in
@@ -82,8 +78,7 @@ let unit_tests =
         (* complete = costs (2^n - 2 winners, last layer skipped)
            followed by reconstruct (n materialisations) *)
         Helpers.check_int "winners" ((1 lsl n) - 2 + n) s.M.s_states_materialised;
-        Helpers.check_int "copies = winners" s.M.s_states_materialised
-          s.M.s_node_table_copies);
+        Helpers.check_int "no node-table copies" 0 s.M.s_node_table_copies);
   ]
 
 let props =

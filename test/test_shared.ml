@@ -4,11 +4,14 @@ module T = Ovo_boolfun.Truthtable
 
 (* brute-force shared optimum: chain every permutation over the shared
    multi-table state *)
-let brute_shared ?(kind = C.Bdd) tts =
-  let base = S.of_truthtables kind tts in
+let shared_base ?(kind = C.Bdd) tts =
+  C.initial_shared kind (Array.map Ovo_boolfun.Mtable.of_truthtable tts)
+
+let brute_shared ?kind tts =
+  let base = shared_base ?kind tts in
   let n = T.arity tts.(0) in
   List.fold_left
-    (fun acc order -> min acc (S.compact_chain base order).S.mincost)
+    (fun acc order -> min acc (C.compact_chain base order).C.mincost)
     max_int (Helpers.all_orders n)
 
 let gen_pair =
@@ -66,13 +69,13 @@ let unit_tests =
         Helpers.check_int "two roots" 2 (Array.length roots);
         Helpers.check_int "constant root is the terminal" 1 roots.(1));
     Helpers.case "mismatched arities rejected" (fun () ->
-        Alcotest.check_raises "arity" (Invalid_argument "Shared.initial: arity mismatch")
-          (fun () ->
-            ignore (S.of_truthtables C.Bdd [| T.var 2 0; T.var 3 0 |])));
+        Alcotest.check_raises "arity"
+          (Invalid_argument "Compact.initial_shared: arity mismatch")
+          (fun () -> ignore (shared_base [| T.var 2 0; T.var 3 0 |])));
     Helpers.case "empty root array rejected" (fun () ->
         Alcotest.check_raises "empty"
-          (Invalid_argument "Shared.initial: need at least one root") (fun () ->
-            ignore (S.of_truthtables C.Bdd [||])));
+          (Invalid_argument "Compact.initial_shared: need at least one root")
+          (fun () -> ignore (shared_base [||])));
     Helpers.case "to_dot emits all roots" (fun () ->
         let r = S.minimize [| T.var 2 0; T.var 2 1 |] in
         let dot = S.to_dot r.S.state in
@@ -128,10 +131,20 @@ let props =
       ~count:60 arb_pair
       (fun tts ->
         let r = S.minimize tts in
-        let re =
-          S.compact_chain (S.of_truthtables C.Bdd tts) r.S.order
-        in
-        re.S.mincost = r.S.mincost);
+        let re = C.compact_chain (shared_base tts) r.S.order in
+        re.C.mincost = r.S.mincost);
+    QCheck.Test.make ~name:"one root is plain FS (BDD and ZDD)" ~count:60
+      (Helpers.arb_truthtable ~lo:1 ~hi:6 ())
+      (fun tt ->
+        List.for_all
+          (fun kind ->
+            let r = S.minimize ~kind [| tt |] in
+            let fs = Ovo_core.Fs.run ~kind tt in
+            r.S.mincost = fs.Ovo_core.Fs.mincost
+            && r.S.order = fs.Ovo_core.Fs.order
+            && Array.map Ovo_core.Diagram.serialize (S.diagrams r.S.state)
+               = [| Ovo_core.Diagram.serialize fs.Ovo_core.Fs.diagram |])
+          [ C.Bdd; C.Zdd ]);
   ]
 
 let diagram_props =
