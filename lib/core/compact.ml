@@ -54,6 +54,9 @@ let check_var name st i =
   if Varset.mem i st.assigned then
     invalid_arg (Printf.sprintf "Compact.%s: variable already assigned" name)
 
+(* Cells one compaction of [st] scans: half of every root's table. *)
+let cells st = Array.length st.tables.(0) / 2 * Array.length st.tables
+
 (* The dedup set of one scan: open addressing over packed [(lo, hi)]
    keys, emptied in O(1) by bumping the generation stamp.  Each domain
    keeps one and lends it to one scan at a time, so Engine.Par workers
@@ -105,8 +108,7 @@ let return_dedup d = Atomic.set (Domain.DLS.get dedup_pool) (Some d)
    number of new nodes — the paper's [Cost_i]. *)
 let scan st i ~out ~fresh =
   let p = Varset.rank_in i (free st) in
-  let new_len = Array.length st.tables.(0) / 2 in
-  let cells = new_len * Array.length st.tables in
+  let new_len = Array.length st.tables.(0) / 2 and cells = cells st in
   (* keys pack [lo] above 31 bits of [hi]; ids never get near 2^31 *)
   assert (st.next_id + cells < 1 lsl 31);
   let d, mask = borrow_dedup cells in
@@ -161,8 +163,6 @@ let step ?(fresh = no_record) st i =
     },
     width )
 
-let cells st = Array.length st.tables.(0) / 2 * Array.length st.tables
-
 let compact ?(metrics = Metrics.create ()) st i =
   check_var "compact" st i;
   let st', width = step st i in
@@ -202,7 +202,9 @@ let is_complete st = st.assigned = Varset.full st.n
    the scan is a deterministic function of the placement sequence, so
    the replay hands out exactly the ids the state's own tables hold. *)
 let nodes st =
-  let out = Array.make (st.next_id - st.num_terminals) { var = -1; lo = 0; hi = 0 } in
+  let out =
+    Array.make (st.next_id - st.num_terminals) { var = -1; lo = 0; hi = 0 }
+  in
   let k = ref 0 in
   let origin =
     {

@@ -18,7 +18,7 @@
 module Dp : Subset_dp.DP with type state = Compact.state
 (** The one subset DP over {!Compact} states, single- and multi-root
     alike; the functions below are its [FS*] entry points.  The quantum
-    algorithms ({!Ovo_quantum.Opt_generic}) drive it directly. *)
+    algorithms drive it directly. *)
 
 type t = private {
   base_assigned : Varset.t;  (** the set [I] of the base state *)

@@ -49,7 +49,6 @@ let log_src = Logs.Src.create "ovo.quantum" ~doc:"simulated quantum algorithms"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Make (Dp : Ovo_core.Subset_dp.DP) = struct
-
   type subroutine = {
     label : string;
     compose : Qctx.t -> Dp.state -> Varset.t -> Dp.state * float;
