@@ -320,7 +320,12 @@ let mem_budget_arg =
     & opt (some mem_budget_conv) None
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
-          "($(b,--algo fs) only)  Cap the resident bytes of the DP's packed            cost/choice layers.  Completed layers past the cap spill to            CRC-framed segments under $(b,--spill-dir) and are reloaded            lazily during reconstruction; the solution is bit-identical to            an unbounded run.  Accepts $(b,k)/$(b,M)/$(b,G) suffixes            (binary multiples).")
+          "($(b,--algo) fs, qdc, tower:N or simple only)  Cap the resident \
+           bytes of the DP's packed cost/choice layers.  Completed layers \
+           past the cap spill to CRC-framed segments under \
+           $(b,--spill-dir) and are reloaded lazily during reconstruction; \
+           the solution is bit-identical to an unbounded run.  Accepts \
+           $(b,k)/$(b,M)/$(b,G) suffixes (binary multiples).")
 
 let spill_dir_arg =
   Arg.(
@@ -329,17 +334,6 @@ let spill_dir_arg =
     & info [ "spill-dir" ] ~docv:"DIR"
         ~doc:
           "Directory for $(b,--mem-budget) spill segments (default: a fresh            $(b,ovo-spill-<pid>) under the system temp directory).  Segments            are deleted when the run finishes.")
-
-let spill_mmap_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "spill-mmap" ]
-        ~doc:
-          "Write $(b,--mem-budget) spill segments in the mappable raw \
-           format and reload them via $(b,mmap)(2): reloaded extents stay \
-           off the OCaml heap and the kernel pages them in (and back out) \
-           on demand.  Corruption detection (CRC-32) is unchanged.")
 
 let spill_extent_arg =
   Arg.(
@@ -457,7 +451,7 @@ let prune_arg =
 let optimize_cmd =
   let run table expr pla pla_output blif signal family kind algo dot save
       weights seed engine domains stats trace_file profile progress checkpoint
-      resume crash_after fsync mem_budget spill_dir spill_mmap spill_extent
+      resume crash_after fsync mem_budget spill_dir spill_extent
       prune model =
     let engine = resolve_engine engine domains in
     with_obs ~trace_file ~profile ~progress @@ fun trace ->
@@ -514,8 +508,6 @@ let optimize_cmd =
             failwith "--mem-budget needs --algo fs, qdc, tower:N or simple";
           if spill_dir <> None && mem_budget = None then
             failwith "--spill-dir needs --mem-budget";
-          if spill_mmap && mem_budget = None then
-            failwith "--spill-mmap needs --mem-budget";
           if spill_extent <> None && mem_budget = None then
             failwith "--spill-extent needs --mem-budget";
           if prune && not exact_algo then
@@ -528,10 +520,10 @@ let optimize_cmd =
           let unified =
             mem_budget <> None && (checkpoint <> None || resume <> None)
           in
-          if unified && (spill_dir <> None || spill_mmap) then
+          if unified && spill_dir <> None then
             failwith
               "--checkpoint/--resume already serve as the spill store; \
-               drop --spill-dir/--spill-mmap";
+               drop --spill-dir";
           let membudget, spill_cleanup =
             match mem_budget with
             | None -> (None, fun () -> ())
@@ -545,7 +537,7 @@ let optimize_cmd =
                         (Filename.get_temp_dir_name ())
                         (Printf.sprintf "ovo-spill-%d" (Unix.getpid ()))
                 in
-                let sp = Ovo_store.Spill.create ~fsync ~mmap:spill_mmap dir in
+                let sp = Ovo_store.Spill.create ~fsync dir in
                 ( Some
                     (Ovo_core.Membudget.create ~budget_bytes
                        ?extent_bytes:spill_extent
@@ -732,7 +724,7 @@ let optimize_cmd =
        $ save_arg $ weights_arg $ seed_arg $ engine_arg $ domains_arg
        $ stats_arg $ trace_arg $ profile_arg $ progress_arg $ checkpoint_arg
        $ resume_arg $ crash_after_arg $ fsync_arg $ mem_budget_arg
-       $ spill_dir_arg $ spill_mmap_arg $ spill_extent_arg $ prune_arg
+       $ spill_dir_arg $ spill_extent_arg $ prune_arg
        $ model_arg))
   in
   Cmd.v

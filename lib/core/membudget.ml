@@ -1,6 +1,6 @@
 type sink = {
   spill : k:int -> ext:int -> string -> unit;
-  reload : k:int -> ext:int -> Layer_pack.src;
+  reload : k:int -> ext:int -> string;
 }
 
 let default_extent_bytes = 1024 * 1024

@@ -3,7 +3,7 @@
     The exact Friedman–Supowit sweep is time-bounded by [O*(3^n)] but
     memory-bounded by the [O*(2^n)] cost/choice tables.  A {!t} tracks
     the bytes of every packed cardinality-layer extent
-    ({!Layer_pack.Extent}) the DP holds resident and, when a byte budget
+    ({!Layer_pack.t}) the DP holds resident and, when a byte budget
     is set, lets the engine spill cold extents through a {!sink} — an
     injected pair of closures, because [ovo.core] must not depend on the
     [ovo.store] layer that implements the on-disk segments.
@@ -24,19 +24,17 @@ type sink = {
       (** Persist one encoded extent ([ext] is the extent index within
           layer [k]).  Must be durable enough that {!field-reload}
           returns it verbatim. *)
-  reload : k:int -> ext:int -> Layer_pack.src;
+  reload : k:int -> ext:int -> string;
       (** Return the payload previously spilled for extent [ext] of
-          layer [k] — as a string, or as a memory-mapped region the OS
-          pages ([--spill-mmap]).  A sink backed by a unified checkpoint
-          may return the {e whole layer's} record instead; the decoder
-          slices it ({!Layer_pack.Extent.of_src} containment).  Must
-          raise [Failure] on a missing or corrupt segment — the DP
-          propagates that as a clean error, never a wrong answer. *)
+          layer [k].  A sink backed by a unified checkpoint may return
+          the {e whole layer's} record instead; the decoder slices it
+          ({!Layer_pack.of_src} containment).  Must raise [Failure] on a
+          missing or corrupt segment — the DP propagates that as a clean
+          error, never a wrong answer. *)
 }
 (** Where spilled extents go.  Implemented by [Ovo_store.Spill] over
-    CRC-framed (or mmap-able CRC-prefixed) segment files and by
-    [Ovo_store.Checkpoint.sink] over the checkpoint log; tests inject
-    in-memory sinks. *)
+    CRC-framed segment files and by [Ovo_store.Checkpoint.sink] over the
+    checkpoint log; tests inject in-memory sinks. *)
 
 type t
 (** A mutable per-run accounting context (main-domain only — packing

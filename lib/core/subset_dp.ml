@@ -24,7 +24,7 @@ type progress = {
 let binomial = Layer_pack.binomial
 
 (* The packed cost/choice store of one sweep: layer [k] is split into
-   fixed-size {!Layer_pack.Extent}s (9 bytes per subset, ~1 MiB of dense
+   fixed-size {!Layer_pack} extents (9 bytes per subset, ~1 MiB of dense
    payload per extent) instead of two hashtable bindings, and under a
    {!Membudget} completed extents are spilled through the injected sink,
    lowest cardinality first — the forward sweep never re-reads them, and
@@ -34,9 +34,7 @@ let binomial = Layer_pack.binomial
    single layer (the k≈n/2 hump) exceeds the whole budget.
    State-independent, so it lives outside the functor. *)
 module Layers = struct
-  module Extent = Layer_pack.Extent
-
-  type eslot = Resident of Extent.t | Spilled
+  type eslot = Resident of Layer_pack.t | Spilled
 
   type lrec = {
     l_total : int;  (* C(m,k): subsets in the layer *)
@@ -52,7 +50,7 @@ module Layers = struct
     trace : Trace.t;
     pascal : int array array;  (* shared rank/unrank table, k up to [upto] *)
     slots : lrec option array;  (* indexed by cardinality; slot 0 unused *)
-    mutable memo : (int * int * Extent.t) option;
+    mutable memo : (int * int * Layer_pack.t) option;
         (* last transiently reloaded (k, ext, extent): colex-ordered
            readers touch consecutive ranks, so a 1-slot memo turns
            per-entry fetches into one reload per extent *)
@@ -77,8 +75,8 @@ module Layers = struct
     match Membudget.sink t.mb with
     | None -> ()
     | Some sink ->
-        let raw = Extent.size_bytes x in
-        let payload = Extent.encode x in
+        let raw = Layer_pack.size_bytes x in
+        let payload = Layer_pack.encode x in
         let stored = String.length payload in
         (* transient-once accounting: the dense extent's charge is
            released as the packed copy is charged — the two are never on
@@ -153,14 +151,14 @@ module Layers = struct
     for ei = 0 to n_ext - 1 do
       let lo = ei * elen in
       let x =
-        Extent.create ~j_set:t.j_set ~k ~total ~lo ~len:(ext_len lr ei)
+        Layer_pack.create ~j_set:t.j_set ~k ~total ~lo ~len:(ext_len lr ei)
       in
       List.iter
-        (fun (r, (_, cost, choice)) -> Extent.set x ~rank:r ~cost ~choice)
+        (fun (r, (_, cost, choice)) -> Layer_pack.set x ~rank:r ~cost ~choice)
         buckets.(ei);
       buckets.(ei) <- [];
-      layer_bytes := !layer_bytes + Extent.size_bytes x;
-      Membudget.grew t.mb (Extent.size_bytes x);
+      layer_bytes := !layer_bytes + Layer_pack.size_bytes x;
+      Membudget.grew t.mb (Layer_pack.size_bytes x);
       lr.l_extents.(ei) <- Some (Resident x);
       enforce_budget t
     done;
@@ -192,15 +190,15 @@ module Layers = struct
                         ])
                       "spill.reload"
                       (fun () ->
-                        let src = sink.Membudget.reload ~k ~ext:ei in
+                        let payload = sink.Membudget.reload ~k ~ext:ei in
                         let lo = ei * lr.l_elen in
                         let x =
                           try
-                            Extent.of_src src ~j_set:t.j_set ~k ~total:lr.l_total
-                              ~lo ~len:(ext_len lr ei)
+                            Layer_pack.of_src payload ~j_set:t.j_set ~k
+                              ~total:lr.l_total ~lo ~len:(ext_len lr ei)
                           with Invalid_argument m -> failwith m
                         in
-                        Membudget.note_reload t.mb (Layer_pack.src_length src);
+                        Membudget.note_reload t.mb (String.length payload);
                         t.memo <- Some (k, ei, x);
                         x))))
 
@@ -215,7 +213,7 @@ module Layers = struct
     if Varset.is_empty ksub then t.base_cost
     else
       let r, x = extent_of t ~k:(Varset.cardinal ksub) ksub in
-      Extent.cost x ~rank:r
+      Layer_pack.cost x ~rank:r
 
   (* Backtrack the recorded tight choices of every [target] (all of one
      cardinality [m]) level-synchronously: at each level the chains'
@@ -246,7 +244,7 @@ module Layers = struct
                     Hashtbl.add cache ei x;
                     x
               in
-              let h = Extent.choice x ~rank:r in
+              let h = Layer_pack.choice x ~rank:r in
               acc.(i) <- h :: acc.(i);
               subs.(i) <- Varset.remove h sub)
             subs
@@ -260,7 +258,7 @@ module Layers = struct
     | None -> invalid_arg "Subset_dp: layer not computed"
     | Some lr ->
         for ei = 0 to Array.length lr.l_extents - 1 do
-          Extent.iter (fetch_extent t ~k ~ei) (fun ~rank ~cost ~choice ->
+          Layer_pack.iter (fetch_extent t ~k ~ei) (fun ~rank ~cost ~choice ->
               f
                 (Layer_pack.unrank_in ~pascal:t.pascal ~j_set:t.j_set ~k rank)
                 ~cost ~choice)
@@ -463,11 +461,11 @@ module Make (S : COMPACTABLE) = struct
      and dropped eagerly as soon as their successor layer is complete —
      only the packed integer layers outlive a layer.
 
-     Each completed layer is bit-packed extent by extent into
-     {!Layer_pack.Extent}s by {!Layers.put_entries}, which charges [mb]
-     per extent and spills past the budget; packing happens on the
-     calling domain after the parallel join, so the packed bytes — like
-     the results they encode — are identical under Seq and Par.
+     Each completed layer is bit-packed into {!Layer_pack} extents by
+     {!Layers.put_entries}, which charges [mb] per extent and spills
+     past the budget; packing happens on the calling domain after the
+     parallel join, so the packed bytes — like the results they encode —
+     are identical under Seq and Par.
 
      [on_layer] fires once per completed cardinality layer with that
      layer's (subset, cost, tight choice) triples — the checkpoint

@@ -14,9 +14,10 @@ let rtype_meta = 0
    an old checkpoint degrades to a fresh start instead of misdecoding. *)
 let rtype_layer_legacy = 1
 
-(* Unified with the spill format: the payload is [Layer_pack.encode] of
-   the whole layer, so a budget+checkpoint run writes each layer once
-   and the checkpoint itself can serve extent reloads ({!sink}). *)
+(* Unified with the spill format: the payload is the whole layer
+   encoded as one full-range [Layer_pack] extent, so a budget+checkpoint
+   run writes each layer once and the checkpoint itself can serve extent
+   reloads ({!sink}). *)
 let rtype_layer = 2
 
 let kind_code = function Ovo_core.Compact.Bdd -> 0 | Ovo_core.Compact.Zdd -> 1
@@ -49,16 +50,36 @@ let decode_meta payload =
    so the union of its k-subsets is the sweep's universe — exactly the
    j_set the pack header must carry. *)
 let encode_layer (p : Sdp.progress) =
+  let k = p.Sdp.p_layer in
   let j_set =
     Array.fold_left
       (fun acc (ksub, _, _) -> Varset.union acc ksub)
       Varset.empty p.Sdp.p_entries
   in
-  Lp.encode (Lp.of_entries ~j_set ~k:p.Sdp.p_layer p.Sdp.p_entries)
+  let m = Varset.cardinal j_set in
+  let total = Lp.binomial m k in
+  let pascal = Lp.pascal_table ~m ~k in
+  let x = Lp.create ~j_set ~k ~total ~lo:0 ~len:total in
+  Array.iter
+    (fun (ksub, cost, choice) ->
+      Lp.set x ~rank:(Lp.rank_in ~pascal ~j_set ksub) ~cost ~choice)
+    p.Sdp.p_entries;
+  Lp.encode x
 
+(* Raises [Failure] on anything but a full-range v3/v4 extent: a v1/v2
+   record from an older writer ends the resume prefix like a corrupt
+   one. *)
 let decode_layer payload =
-  let pack = Lp.decode payload in
-  { Sdp.p_layer = Lp.k pack; p_entries = Lp.entries pack }
+  let h = Lp.header payload in
+  let j_set = h.Lp.h_j_set and k = h.Lp.h_k and total = h.Lp.h_total in
+  let x = Lp.of_src payload ~j_set ~k ~total ~lo:0 ~len:total in
+  let pascal = Lp.pascal_table ~m:(Varset.cardinal j_set) ~k in
+  let entries = Array.make (Lp.present x) (Varset.empty, 0, 0) in
+  let i = ref 0 in
+  Lp.iter x (fun ~rank ~cost ~choice ->
+      entries.(!i) <- (Lp.unrank_in ~pascal ~j_set ~k rank, cost, choice);
+      incr i);
+  { Sdp.p_layer = k; p_entries = entries }
 
 type t = { rlog : Rlog.t; layers : (int, string) Hashtbl.t }
 
@@ -75,8 +96,8 @@ let append_layer t p =
 (* The checkpoint as a spill store: the DP's [on_layer] hook fires
    before the layer is packed, so by the time an extent is evicted its
    layer's record is already in [t.layers] — spilling is a no-op and a
-   reload hands back the whole-layer record, which
-   [Layer_pack.Extent.of_src] slices down to the requested rank range.
+   reload hands back the whole-layer record, which [Layer_pack.of_src]
+   slices down to the requested rank range.
    A budget+checkpoint run therefore writes each layer to disk once. *)
 let sink t =
   {
@@ -84,7 +105,7 @@ let sink t =
     reload =
       (fun ~k ~ext:_ ->
         match Hashtbl.find_opt t.layers k with
-        | Some payload -> Lp.S_string payload
+        | Some payload -> payload
         | None ->
             failwith
               (Printf.sprintf "Checkpoint.sink: layer %d not checkpointed" k));

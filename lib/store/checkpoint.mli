@@ -6,15 +6,17 @@
     hook fires at the same boundaries cancellation is polled.
 
     Layer records are {e unified with the spill format}: each payload is
-    {!Ovo_core.Layer_pack.encode} of the whole layer, the same bytes a
-    whole-layer spill would write.  That buys two things: checkpoints
-    inherit the pack encoders (dense/sparse/compressed, smallest wins),
-    and the open checkpoint can itself serve as the DP's spill store
-    ({!sink}) — a budget+checkpoint run writes each layer to disk
-    {e once}, and extent reloads slice the layer records already on
-    hand.  Records in the pre-unification triple format (record type 1)
-    are recognised and end the resume prefix: an old checkpoint degrades
-    to a clean fresh start.
+    the whole layer encoded as one full-range {!Ovo_core.Layer_pack}
+    extent (ranks [0 .. C(m,k)-1], subsets placed by
+    {!Ovo_core.Layer_pack.rank_in}), the same bytes a whole-layer spill
+    would write.  That buys two things: checkpoints inherit the pack
+    encoders (compressed v3 or raw v4, whichever is smaller), and the
+    open checkpoint can itself serve as the DP's spill store ({!sink})
+    — a budget+checkpoint run writes each layer to disk {e once}, and
+    extent reloads slice the layer records already on hand.  Records in
+    the pre-unification triple format (record type 1), and layer
+    records in the retired v1/v2 pack formats, end the resume prefix:
+    an old checkpoint degrades to a clean fresh start.
 
     Because layer states are rebuilt by deterministically replaying the
     recorded choice chains, a run killed at any point and resumed from
@@ -48,7 +50,7 @@ val sink : t -> Ovo_core.Membudget.sink
 (** The checkpoint as spill store: spilling an extent is a no-op (its
     layer's record is already appended — the DP checkpoints a layer
     before packing it) and reloading returns the whole-layer record for
-    {!Ovo_core.Layer_pack.Extent.of_src} to slice.  Raises [Failure] on
+    {!Ovo_core.Layer_pack.of_src} to slice.  Raises [Failure] on
     a reload for a layer this writer never appended. *)
 
 val close : t -> unit

@@ -1,14 +1,12 @@
 let log_src = Logs.Src.create "ovo.store.spill" ~doc:"DP extent spill segments"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-module Lp = Ovo_core.Layer_pack
 
 let rtype_extent = 1
 
 type t = {
   dir : string;
   fsync : Rlog.fsync;
-  mmap : bool;
   mutable written : (int * int) list;  (* (k, ext) with a segment on disk *)
 }
 
@@ -22,96 +20,30 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let create ?(fsync = Rlog.Never) ?(mmap = false) dir =
+let create ?(fsync = Rlog.Never) dir =
   mkdir_p dir;
   if not (Sys.is_directory dir) then
     failwith (Printf.sprintf "Spill.create: %s is not a directory" dir);
-  { dir; fsync; mmap; written = [] }
+  { dir; fsync; written = [] }
 
 let dir t = t.dir
-let mmap t = t.mmap
-
-(* Mappable segments are a raw file, not an Rlog: magic, u32 payload
-   length, u32 CRC-32, then the payload verbatim at a fixed offset so a
-   reload can hand the DP a slice of the mapping itself. *)
-let seg_magic = "OVOSEG01"
-let seg_header = String.length seg_magic + 8
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
-let write_mmap ~fsync path payload =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Buffer.create seg_header in
-      Buffer.add_string b seg_magic;
-      Codec.u32 b (String.length payload);
-      Codec.u32 b (Int32.to_int (Crc32.string payload) land 0xFFFFFFFF);
-      write_all fd (Buffer.contents b);
-      write_all fd payload;
-      match fsync with Rlog.Never -> () | _ -> Unix.fsync fd);
-  Sys.rename tmp path
-
-let big_u32 (a : Lp.bigstring) pos =
-  let byte i = Char.code (Bigarray.Array1.get a (pos + i)) in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-
-let reload_mmap path =
-  let fail msg = failwith (Printf.sprintf "Spill.reload: %s: %s" path msg) in
-  let fd =
-    try Unix.openfile path [ O_RDONLY ] 0
-    with Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let size = (Unix.fstat fd).Unix.st_size in
-      if size < seg_header then fail "truncated segment";
-      let a =
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| size |])
-      in
-      for i = 0 to String.length seg_magic - 1 do
-        if Bigarray.Array1.get a i <> seg_magic.[i] then fail "foreign magic"
-      done;
-      let len = big_u32 a (String.length seg_magic) in
-      let crc = big_u32 a (String.length seg_magic + 4) in
-      if seg_header + len <> size then fail "corrupt or truncated segment";
-      (* CRC the mapped pages once; after this they are clean and the OS
-         may evict them — the resident cost of a reload is transient *)
-      let actual =
-        Int32.to_int (Crc32.update_big a ~pos:seg_header ~len) land 0xFFFFFFFF
-      in
-      if actual <> crc then fail "corrupt or truncated segment";
-      Lp.S_big (Bigarray.Array1.sub a seg_header len))
 
 let spill t ~k ~ext payload =
   let path = segment_path t ~k ~ext in
-  if t.mmap then write_mmap ~fsync:t.fsync path payload
-  else Rlog.write_atomic ~fsync:t.fsync path [ (rtype_extent, payload) ];
+  Rlog.write_atomic ~fsync:t.fsync path [ (rtype_extent, payload) ];
   if not (List.mem (k, ext) t.written) then t.written <- (k, ext) :: t.written;
   Log.debug (fun m ->
       m "spilled layer %d extent %d (%d bytes)" k ext (String.length payload))
 
 let reload t ~k ~ext =
   let path = segment_path t ~k ~ext in
-  if t.mmap then reload_mmap path
-  else
-    match Rlog.read path with
-    | Ok ([ { Rlog.rtype; payload } ], { Rlog.rec_discarded_bytes = 0; _ })
-      when rtype = rtype_extent ->
-        Lp.S_string payload
-    | Ok _ ->
-        failwith
-          (Printf.sprintf "Spill.reload: %s is corrupt or truncated" path)
-    | Error msg -> failwith (Printf.sprintf "Spill.reload: %s: %s" path msg)
+  match Rlog.read path with
+  | Ok ([ { Rlog.rtype; payload } ], { Rlog.rec_discarded_bytes = 0; _ })
+    when rtype = rtype_extent ->
+      payload
+  | Ok _ ->
+      failwith (Printf.sprintf "Spill.reload: %s is corrupt or truncated" path)
+  | Error msg -> failwith (Printf.sprintf "Spill.reload: %s: %s" path msg)
 
 let sink t = { Ovo_core.Membudget.spill = spill t; reload = reload t }
 

@@ -9,31 +9,21 @@
     (temp + fsync + rename), so a segment on disk is either complete and
     checksummed or absent.
 
-    Two segment formats share the directory layout.  The default is a
-    CRC-framed {!Rlog} whose single record is the encoded extent.  With
-    [~mmap:true] ([--spill-mmap]) a segment is instead a raw file —
-    magic, payload length, CRC-32, payload at a fixed offset — and
-    {!reload} returns a slice of the [Unix.map_file] mapping itself
-    ([Lp.S_big]): the kernel pages the bytes in on first touch and may
-    evict them again, so reloading never charges the OCaml heap.
-
-    Corruption safety is identical in both modes: a flipped bit, a
-    truncated tail or a foreign file surfaces as [Failure] — the DP
-    reports a clean error and never reconstructs from damaged
-    extents. *)
+    Each segment is a CRC-framed {!Rlog} whose single record is the
+    encoded extent, so a flipped bit, a truncated tail or a foreign file
+    surfaces as [Failure] — the DP reports a clean error and never
+    reconstructs from damaged extents. *)
 
 type t
 (** A spill directory handle, tracking the segments it wrote. *)
 
-val create : ?fsync:Rlog.fsync -> ?mmap:bool -> string -> t
+val create : ?fsync:Rlog.fsync -> string -> t
 (** Open (creating, recursively) a spill directory.  [fsync] (default
     {!Rlog.Never}) governs segment durability — spill files are
     scratch, so the default only guarantees process-crash safety.
-    [mmap] (default [false]) selects the mappable raw-segment format.
     Raises [Failure] if the path exists and is not a directory. *)
 
 val dir : t -> string
-val mmap : t -> bool
 
 val sink : t -> Ovo_core.Membudget.sink
 (** The pair of closures {!Ovo_core.Membudget} injects into the DP. *)
@@ -42,9 +32,8 @@ val spill : t -> k:int -> ext:int -> string -> unit
 (** Write (atomically, replacing) the segment for extent [ext] of layer
     [k]. *)
 
-val reload : t -> k:int -> ext:int -> Ovo_core.Layer_pack.src
-(** Read the extent's payload back — as a string (Rlog mode) or a slice
-    of the file mapping (mmap mode).  Raises [Failure] on a missing,
+val reload : t -> k:int -> ext:int -> string
+(** Read the extent's payload back.  Raises [Failure] on a missing,
     corrupt or truncated segment. *)
 
 val remove : t -> unit

@@ -25,7 +25,7 @@ let mem_sink () =
     reload =
       (fun ~k ~ext ->
         match Hashtbl.find_opt store (k, ext) with
-        | Some p -> Ovo_core.Layer_pack.S_string p
+        | Some p -> p
         | None -> failwith "mem_sink: no such extent");
   }
 

@@ -498,6 +498,94 @@ let checkpoint_tests =
         let r = Fs.run ~kind ~resume:layers tt in
         Ck.close w;
         Helpers.check_int "mincost" (Fs.run ~kind tt).Fs.mincost r.Fs.mincost);
+    Helpers.case "incompressible layers roundtrip as raw v4 records"
+      (fun () ->
+        (* costs with no colex locality: the compressed stream loses to
+           the raw slice, so every record is written as v4 *)
+        let st = Helpers.rng 7 in
+        let j_set = Ovo_core.Varset.of_list [ 0; 1; 2; 3; 4; 5 ] in
+        let layers =
+          List.init 3 (fun i ->
+              let k = i + 1 in
+              let entries = ref [] in
+              Ovo_core.Varset.iter_subsets_of ~size:k j_set (fun ksub ->
+                  entries :=
+                    ( ksub,
+                      Random.State.full_int st (1 lsl 50),
+                      Random.State.int st 6 )
+                    :: !entries);
+              {
+                Ovo_core.Subset_dp.p_layer = k;
+                p_entries = Array.of_list (List.rev !entries);
+              })
+        in
+        let path = tmpfile () in
+        let meta =
+          Ck.meta_of ~kind:Ovo_core.Compact.Bdd (Tt.of_string "01101001")
+        in
+        let w = Ck.create ~path meta in
+        List.iter (Ck.append_layer w) layers;
+        Ck.close w;
+        (match Rlog.read path with
+        | Ok (_ :: records, _) ->
+            List.iter
+              (fun r ->
+                Helpers.check_int "raw v4 record" 4
+                  (Char.code r.Rlog.payload.[0]))
+              records
+        | Ok ([], _) -> Alcotest.fail "empty checkpoint"
+        | Error m -> Alcotest.fail m);
+        match Ck.load path with
+        | Ok (_, loaded) ->
+            Helpers.check_bool "layers roundtrip" true (loaded = layers)
+        | Error m -> Alcotest.fail m);
+    Helpers.case "v1 dense layer record ends the resume prefix" (fun () ->
+        let tt = Tt.of_string "0110100110010110" in
+        let kind = Ovo_core.Compact.Bdd in
+        let engine = Ovo_core.Engine.Seq in
+        let plain = solution_fingerprint (Fs.run ~kind tt) in
+        (* the true layer 3, taken from a complete checkpoint *)
+        let full = tmpfile () in
+        ignore (run_until ~engine ~kind ~path:full ~stop_after:5 tt);
+        let layer3 =
+          match Ck.load full with
+          | Ok (_, layers) -> List.nth layers 2
+          | Error m -> Alcotest.fail m
+        in
+        Sys.remove full;
+        (* the same layer in the retired v1 dense format: 14-byte header
+           (version, k, j_set, count) + 9 B per subset in rank order *)
+        let v1 =
+          let entries = layer3.Ovo_core.Subset_dp.p_entries in
+          let count = Array.length entries in
+          let b = Bytes.create (14 + (9 * count)) in
+          Bytes.set_uint8 b 0 1;
+          Bytes.set_uint8 b 1 3;
+          Bytes.set_int64_le b 2 0b1111L;
+          Bytes.set_int32_le b 10 (Int32.of_int count);
+          Array.iteri
+            (fun i (_, cost, choice) ->
+              Bytes.set_int64_le b (14 + (9 * i)) (Int64.of_int cost);
+              Bytes.set_uint8 b (14 + (9 * i) + 8) choice)
+            entries;
+          Bytes.to_string b
+        in
+        let path = tmpfile () in
+        ignore (run_until ~engine ~kind ~path ~stop_after:2 tt);
+        let t, _, _ = Rlog.open_append path in
+        Rlog.append t ~rtype:2 v1;
+        Rlog.close t;
+        (match Ck.load path with
+        | Ok (_, layers) ->
+            Helpers.check_int "prefix stops before the v1 record" 2
+              (List.length layers)
+        | Error m -> Alcotest.fail m);
+        match run_until ~engine ~kind ~path ~stop_after:5 tt with
+        | Some r ->
+            Sys.remove path;
+            Helpers.check_bool "resumed run is bit-identical" true
+              (solution_fingerprint r = plain)
+        | None -> Alcotest.fail "resumed run crashed");
     Helpers.case "all-legacy checkpoint degrades to a fresh start" (fun () ->
         let path = tmpfile () in
         let tt = Tt.of_string "01101001" in
