@@ -392,7 +392,8 @@ let weights_arg =
     & info [ "weights" ] ~docv:"W0,W1,.."
         ~doc:
           "Per-variable level weights: minimise the weighted node count \
-           exactly (overrides $(b,--algo)).")
+           exactly ($(b,--algo fs) only; honours $(b,--engine), \
+           $(b,--prune) and $(b,--mem-budget), not checkpoints).")
 
 let algo_arg =
   Arg.(
@@ -457,34 +458,6 @@ let optimize_cmd =
     with_obs ~trace_file ~profile ~progress @@ fun trace ->
     match load_function ~table ~expr ~pla ~pla_output ~blif ~signal ~family with
     | Error m -> `Error (false, m)
-    | Ok tt when weights <> None -> (
-        match weights with
-        | Some ws -> (
-            try
-              let metrics = Ovo_core.Metrics.create () in
-              let weights = Array.of_list ws in
-              let bound =
-                if prune then
-                  Some
-                    (Ovo_ordering.Seed.weighted_bound ~trace ~kind ~weights
-                       (Ovo_boolfun.Mtable.of_truthtable tt))
-                else None
-              in
-              let r =
-                Ovo_core.Fs_weighted.run ~trace ~kind ~engine ~metrics ~weights
-                  ?prune:bound tt
-              in
-              Format.printf "algorithm        : FS (exact, weighted)@.";
-              Format.printf "weighted cost    : %d@."
-                r.Ovo_core.Fs_weighted.weighted_cost;
-              Format.printf "node count       : %d@."
-                r.Ovo_core.Fs_weighted.mincost;
-              Format.printf "order (root first): %a@." pp_order
-                (Ovo_core.Eval_order.read_first r.Ovo_core.Fs_weighted.order);
-              emit_stats ?prune:bound stats metrics;
-              `Ok ()
-            with Invalid_argument m -> `Error (false, m))
-        | None -> assert false)
     | Ok tt -> (
         let with_eval name order =
           let metrics = Ovo_core.Metrics.create () in
@@ -500,10 +473,17 @@ let optimize_cmd =
             | [ "fs" ] | [ "qdc" ] | [ "simple" ] | [ "tower"; _ ] -> true
             | _ -> false
           in
-          if
-            (checkpoint <> None || resume <> None || crash_after <> None)
-            && algo <> "fs"
-          then failwith "--checkpoint/--resume/--crash-after-layer need --algo fs";
+          let checkpointing =
+            checkpoint <> None || resume <> None || crash_after <> None
+          in
+          if weights <> None && algo <> "fs" then
+            failwith "--weights needs --algo fs";
+          if weights <> None && checkpointing then
+            failwith
+              "--weights is incompatible with \
+               --checkpoint/--resume/--crash-after-layer";
+          if checkpointing && algo <> "fs" then
+            failwith "--checkpoint/--resume/--crash-after-layer need --algo fs";
           if mem_budget <> None && not exact_algo then
             failwith "--mem-budget needs --algo fs, qdc, tower:N or simple";
           if spill_dir <> None && mem_budget = None then
@@ -514,20 +494,24 @@ let optimize_cmd =
             failwith "--prune needs --algo fs, qdc, tower:N or simple";
           if prune && (checkpoint <> None || resume <> None) then
             failwith "--prune is incompatible with --checkpoint/--resume";
-          (* unified mode: the checkpoint doubles as the spill store, so
-             a budget+checkpoint run writes each layer once and needs no
-             spill directory *)
-          let unified =
-            mem_budget <> None && (checkpoint <> None || resume <> None)
+          let weights = Option.map Array.of_list weights in
+          let swts = load_weights model in
+          let bound =
+            if not prune then None
+            else
+              match weights with
+              | Some weights ->
+                  Some
+                    (Ovo_ordering.Seed.weighted_bound ~trace ~kind ~weights
+                       (Ovo_boolfun.Mtable.of_truthtable tt))
+              | None ->
+                  Some
+                    (Ovo_learn.Scorer.seeded_bound ~trace ~weights:swts ~kind
+                       tt)
           in
-          if unified && spill_dir <> None then
-            failwith
-              "--checkpoint/--resume already serve as the spill store; \
-               drop --spill-dir";
           let membudget, spill_cleanup =
             match mem_budget with
             | None -> (None, fun () -> ())
-            | Some _ when unified -> (None, fun () -> ())
             | Some budget_bytes ->
                 let dir =
                   match spill_dir with
@@ -544,14 +528,24 @@ let optimize_cmd =
                        ~sink:(Ovo_store.Spill.sink sp) ()),
                   fun () -> Ovo_store.Spill.remove sp )
           in
-          let swts = load_weights model in
-          let bound =
-            if prune then
-              Some (Ovo_learn.Scorer.seeded_bound ~trace ~weights:swts ~kind tt)
-            else None
-          in
           Fun.protect ~finally:spill_cleanup @@ fun () ->
           match String.split_on_char ':' algo with
+          | [ "fs" ] when Option.is_some weights ->
+              let weights = Option.get weights in
+              let metrics = Ovo_core.Metrics.create () in
+              let r =
+                Ovo_core.Fs_weighted.run ~trace ~kind ~engine ~metrics
+                  ?membudget ~weights ?prune:bound tt
+              in
+              Format.printf "algorithm        : FS (exact, weighted)@.";
+              Format.printf "weighted cost    : %d@."
+                r.Ovo_core.Fs_weighted.weighted_cost;
+              Format.printf "node count       : %d@."
+                r.Ovo_core.Fs_weighted.mincost;
+              Format.printf "order (root first): %a@." pp_order
+                (Ovo_core.Eval_order.read_first r.Ovo_core.Fs_weighted.order);
+              emit_stats ?membudget ?prune:bound stats metrics;
+              `Ok ()
           | [ "fs" ] ->
               let metrics = Ovo_core.Metrics.create () in
               let meta = Ovo_store.Checkpoint.meta_of ~kind tt in
@@ -574,18 +568,6 @@ let optimize_cmd =
                     (Some w, layers)
                 | None, None -> (None, [])
               in
-              let membudget =
-                match (mem_budget, writer) with
-                | Some budget_bytes, Some w when unified ->
-                    (* spill through the checkpoint: evictions are
-                       no-ops (the layer record is already appended) and
-                       reloads slice the records on hand *)
-                    Some
-                      (Ovo_core.Membudget.create ~budget_bytes
-                         ?extent_bytes:spill_extent
-                         ~sink:(Ovo_store.Checkpoint.sink w) ())
-                | _ -> membudget
-              in
               let on_layer (p : Ovo_core.Subset_dp.progress) =
                 match writer with
                 | None -> ()
@@ -594,6 +576,8 @@ let optimize_cmd =
                     if crash_after = Some p.Ovo_core.Subset_dp.p_layer
                     then begin
                       Ovo_store.Checkpoint.close w;
+                      (* [exit] skips the [Fun.protect] around the run *)
+                      spill_cleanup ();
                       Printf.eprintf
                         "[ovo] --crash-after-layer %d: exiting 42\n%!"
                         p.Ovo_core.Subset_dp.p_layer;

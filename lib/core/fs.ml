@@ -44,10 +44,7 @@ let all_mincosts ?(trace = Ovo_obs.Trace.null) ?(kind = Compact.Bdd) ?engine
     ?cancel ?metrics tt =
   let base = Compact.of_truthtable kind tt in
   Ovo_obs.Trace.with_span trace ~cat:"fs" "fs.all_mincosts" (fun () ->
-      let ct =
-        Fs_star.costs ~trace ?engine ?cancel ?metrics ~base (Compact.free base)
-      in
-      ct.Fs_star.cost_table)
+      Fs_star.costs ~trace ?engine ?cancel ?metrics ~base (Compact.free base))
 
 let read_first_order r =
   let n = Array.length r.order in

@@ -13,20 +13,7 @@ module Dp = Subset_dp.Make (struct
   let free = Compact.free
 end)
 
-type t = {
-  base_assigned : Varset.t;
-  j_set : Varset.t;
-  upto : int;
-  mincosts : (Varset.t, int) Hashtbl.t;
-  layer : (Varset.t, Compact.state) Hashtbl.t;
-}
-
-type costs = Subset_dp.costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-  cost_choice : (Varset.t, int) Hashtbl.t;
-}
+type t = Dp.t
 
 (* keep the module's historical error messages *)
 let rebrand f =
@@ -48,13 +35,7 @@ let run ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
         (Varset.cardinal base.Compact.assigned)
         (Hashtbl.length d.Dp.mincosts)
         (Hashtbl.length d.Dp.layer));
-  {
-    base_assigned = base.Compact.assigned;
-    j_set = d.Dp.j_set;
-    upto = d.Dp.upto;
-    mincosts = d.Dp.mincosts;
-    layer = d.Dp.layer;
-  }
+  d
 
 let costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
     ?upto ~(base : Compact.state) j_set =
@@ -62,12 +43,8 @@ let costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer ?resume
       Dp.costs ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer
         ?resume ?upto ~base j_set)
 
-let reconstruct ?trace ?metrics ~base ct target =
-  rebrand (fun () -> Dp.reconstruct ?trace ?metrics ~base ct target)
-
-let state_of t ksub = Hashtbl.find t.layer ksub
-
-let mincost_of t ksub = Hashtbl.find t.mincosts ksub
+let state_of = Dp.state_of
+let mincost_of = Dp.mincost_of
 
 let complete ?trace ?engine ?cancel ?metrics ?membudget ?prune ?on_layer
     ?resume ~base j_set =

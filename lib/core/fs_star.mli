@@ -20,26 +20,11 @@ module Dp : Subset_dp.DP with type state = Compact.state
     alike; the functions below are its [FS*] entry points.  The quantum
     algorithms drive it directly. *)
 
-type t = private {
-  base_assigned : Varset.t;  (** the set [I] of the base state *)
-  j_set : Varset.t;
-  upto : int;  (** cardinality at which the run stopped *)
-  mincosts : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨I,K⟩] for every [K ⊆ J] with [|K| ≤ upto] (including
-          [K = ∅], the base's own cost) *)
-  layer : (Varset.t, Compact.state) Hashtbl.t;
-      (** the optimal states at cardinality [upto], keyed by [K] *)
-}
-
-type costs = Subset_dp.costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨I,K⟩] for every computed [K] (including [∅]) *)
-  cost_choice : (Varset.t, int) Hashtbl.t;
-      (** backtracking pointers: a tight last-placed [h] per [K ≠ ∅] *)
-}
-(** The cost-table result of {!costs} — see {!Subset_dp.costs}. *)
+type t = Dp.t
+(** A sweep's result: [mincosts] holds [MINCOST⟨I,K⟩] for every
+    [K ⊆ J] with [|K| ≤ upto] (including [K = ∅], the base's own cost),
+    and [layer] the optimal states at cardinality [upto], keyed by
+    [K]. *)
 
 val run :
   ?trace:Ovo_obs.Trace.t ->
@@ -75,29 +60,19 @@ val costs :
   ?upto:int ->
   base:Compact.state ->
   Varset.t ->
-  costs
+  (Varset.t, int) Hashtbl.t
 (** Pure cost-table mode: same sweep as {!run} but no layer of states is
-    returned — only [MINCOST⟨I,K⟩] and the backtracking pointers, two
-    integers per subset.  Same validation and defaults as {!run}. *)
-
-val reconstruct :
-  ?trace:Ovo_obs.Trace.t ->
-  ?metrics:Metrics.t ->
-  base:Compact.state ->
-  costs ->
-  Varset.t ->
-  Compact.state
-(** [reconstruct ~base ct k] materialises an optimal state for [K = k] by
-    backtracking the tight transitions recorded in [ct] — [|k|]
-    compactions over [base].  Requires [k ⊆ ct.cost_j_set] and
-    [|k| ≤ ct.cost_upto]. *)
+    returned — only [MINCOST⟨I,K⟩] for every computed [K] (including
+    [∅]).  Same validation and defaults as {!run}. *)
 
 val state_of : t -> Varset.t -> Compact.state
-(** The optimal state for a [K] in the final layer; raises [Not_found]
-    for other sets. *)
+(** The optimal state for a [K] in the final layer; raises
+    {!Bound.Pruned_out} for a set the run did not keep — see
+    {!Subset_dp.DP.state_of}. *)
 
 val mincost_of : t -> Varset.t -> int
-(** [MINCOST⟨I,K⟩]; raises [Not_found] when [K] was not computed. *)
+(** [MINCOST⟨I,K⟩]; raises {!Bound.Pruned_out} when [K] was not
+    computed or was pruned. *)
 
 val complete :
   ?trace:Ovo_obs.Trace.t ->
@@ -115,5 +90,5 @@ val complete :
     for [K = J] — the
     composition step [FS(⟨I⟩) ↦ FS(⟨I,J⟩)] used verbatim by the quantum
     algorithms (their classical subroutine [Γ = FS*]).  Runs in
-    cost-table mode and reconstructs the winner, so it never holds more
-    than one layer of states. *)
+    cost-table mode and backtracks the winner over the packed layers, so
+    it never holds more than one layer of states. *)

@@ -264,9 +264,7 @@ let header s =
     fail "payload length mismatch";
   { h_version; h_k; h_j_set; h_total; h_lo; h_len; h_present }
 
-(* Decode a v3 stream into [t], keeping only the ranks [t] covers
-   (containment slicing — a whole-layer payload can serve one extent's
-   reload); entries outside it are walked but not stored. *)
+(* Decode a v3 stream into [t], whose range is the header's. *)
 let decompress_into fail s h t =
   let cursor = ref extent_header_bytes in
   let prev_rank = ref (h.h_lo - 1) and prev_cost = ref 0 in
@@ -275,6 +273,7 @@ let decompress_into fail s h t =
     let gap = read_varint fail s cursor in
     if gap <= 0 then fail "non-increasing rank" (* gap 0 = duplicate *);
     let rank = !prev_rank + gap in
+    if rank >= h.h_lo + h.h_len then fail "entry rank out of range";
     let cost = !prev_cost + unzigzag (read_varint fail s cursor) in
     if cost < 0 then fail "negative cost";
     if !cursor >= String.length s then fail "truncated choice";
@@ -282,33 +281,26 @@ let decompress_into fail s h t =
     incr cursor;
     prev_rank := rank;
     prev_cost := cost;
-    if rank >= t.lo && rank < t.lo + t.len then set t ~rank ~cost ~choice
+    set t ~rank ~cost ~choice
   done;
-  if !cursor <> String.length s then fail "trailing stream bytes";
-  if !prev_rank >= h.h_lo + h.h_len then fail "entry rank out of range"
+  if !cursor <> String.length s then fail "trailing stream bytes"
 
-(* Decode from any payload whose rank range {e contains} the request —
-   an exact extent match and a whole-layer checkpoint record are both
-   containment, so one reload path serves the spill store and the
-   checkpoint store alike. *)
 let of_src s ~j_set ~k ~total ~lo ~len =
   let fail msg = failwith (Printf.sprintf "Layer_pack.of_src: %s" msg) in
   check_shape "Layer_pack.of_src" ~j_set ~k ~total ~lo ~len;
   let h = header s in
   if h.h_k <> k || h.h_j_set <> j_set then
     fail "payload belongs to another layer";
-  if not (h.h_lo <= lo && lo + len <= h.h_lo + h.h_len) then
-    fail "payload does not cover the requested range";
+  if h.h_lo <> lo || h.h_len <> len then
+    fail "payload covers another rank range";
   let t = fresh ~j_set ~k ~total ~lo ~len in
   if h.h_version = raw_version then begin
-    let base = extent_header_bytes + ((lo - h.h_lo) * entry_bytes) in
-    Bytes.blit_string s base t.data 0 (len * entry_bytes);
+    Bytes.blit_string s extent_header_bytes t.data 0 (len * entry_bytes);
     for i = 0 to len - 1 do
       if Bytes.get_int64_le t.data (i * entry_bytes) >= 0L then
         t.present <- t.present + 1
     done;
-    if h.h_lo = lo && h.h_len = len && t.present <> h.h_present then
-      fail "present count does not match data"
+    if t.present <> h.h_present then fail "present count does not match data"
   end
   else decompress_into fail s h t;
   t

@@ -16,7 +16,9 @@
     compressed v3 (delta+varint over the colex stream of set entries —
     cost locality and pruning spill small) and raw v4 (the dense slice
     verbatim); {!encode} picks the smaller, so an encoded extent is
-    never larger than its resident charge. *)
+    never larger than its resident charge.  A payload decodes only as
+    the extent its header names: a spill segment as its extent, a
+    checkpoint record as its whole layer. *)
 
 type t
 (** One extent: the [(cost, choice)] of the size-[k] subsets of a
@@ -119,10 +121,8 @@ val header : string -> header
 
 val of_src :
   string -> j_set:Varset.t -> k:int -> total:int -> lo:int -> len:int -> t
-(** Decode the extent covering ranks [lo .. lo+len-1] from a payload.
-    The payload may be that exact extent or any {e larger} extent of
-    the same layer — a whole-layer checkpoint record included: any
-    payload whose range contains the request is sliced.  Raises
-    [Failure] on damage — wrong layer, truncation, rank disorder,
-    negative costs, present-count mismatch — and [Invalid_argument] on
-    a malformed request. *)
+(** Decode the extent covering ranks [lo .. lo+len-1] from a payload
+    that encodes exactly that extent.  Raises [Failure] on damage —
+    wrong layer or rank range, truncation, rank disorder, negative
+    costs, present-count mismatch — and [Invalid_argument] on a
+    malformed request. *)

@@ -26,15 +26,12 @@ type sink = {
           returns it verbatim. *)
   reload : k:int -> ext:int -> string;
       (** Return the payload previously spilled for extent [ext] of
-          layer [k].  A sink backed by a unified checkpoint may return
-          the {e whole layer's} record instead; the decoder slices it
-          ({!Layer_pack.of_src} containment).  Must raise [Failure] on a
-          missing or corrupt segment — the DP propagates that as a clean
-          error, never a wrong answer. *)
+          layer [k], byte for byte.  Must raise [Failure] on a missing or
+          corrupt segment — the DP propagates that as a clean error,
+          never a wrong answer. *)
 }
 (** Where spilled extents go.  Implemented by [Ovo_store.Spill] over
-    CRC-framed segment files and by [Ovo_store.Checkpoint.sink] over the
-    checkpoint log; tests inject in-memory sinks. *)
+    CRC-framed segment files; tests inject in-memory sinks. *)
 
 type t
 (** A mutable per-run accounting context (main-domain only — packing

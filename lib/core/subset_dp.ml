@@ -9,13 +9,6 @@ module type COMPACTABLE = sig
   val free : state -> Varset.t
 end
 
-type costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-  cost_choice : (Varset.t, int) Hashtbl.t;
-}
-
 type progress = {
   p_layer : int;
   p_entries : (Varset.t * int * int) array;
@@ -264,17 +257,15 @@ module Layers = struct
                 ~cost ~choice)
         done
 
-  (* Unpack everything back into the legacy hashtable form (the public
-     {!costs}/[mincosts] API). *)
-  let to_tables t upto =
-    let mincosts = Hashtbl.create 64 and choices = Hashtbl.create 64 in
-    Hashtbl.replace mincosts Varset.empty t.base_cost;
+  (* Unpack the costs into the hashtable form of the public
+     {!costs}/[mincosts] API. *)
+  let mincosts t upto =
+    let tbl = Hashtbl.create 64 in
+    Hashtbl.replace tbl Varset.empty t.base_cost;
     for k = 1 to upto do
-      iter_layer t k (fun ksub ~cost ~choice ->
-          Hashtbl.replace mincosts ksub cost;
-          Hashtbl.replace choices ksub choice)
+      iter_layer t k (fun ksub ~cost ~choice:_ -> Hashtbl.replace tbl ksub cost)
     done;
-    (mincosts, choices)
+    tbl
 end
 
 module type DP = sig
@@ -313,11 +304,7 @@ module type DP = sig
     ?upto:int ->
     base:state ->
     Varset.t ->
-    costs
-
-  val reconstruct :
-    ?trace:Trace.t -> ?metrics:Metrics.t -> base:state -> costs -> Varset.t ->
-    state
+    (Varset.t, int) Hashtbl.t
 
   val state_of : t -> Varset.t -> state
   val mincost_of : t -> Varset.t -> int
@@ -415,20 +402,6 @@ module Make (S : COMPACTABLE) = struct
         in
         Some (ksub, !best_h, !best_c, st)
 
-  (* Replaying a subset's recorded choice chain over the base yields a
-     state bit-identical to the one the original sweep materialised for
-     it: node ids are assigned in scan order, which is a deterministic
-     function of the placement sequence alone (the same argument
-     {!Compact.nodes} rests on). *)
-  let chain_of choices ksub =
-    let rec go k acc =
-      if Varset.is_empty k then acc
-      else
-        let h = Hashtbl.find choices k in
-        go (Varset.remove h k) (h :: acc)
-    in
-    go ksub []
-
   (* A resume must be a consecutive, complete prefix of layers 1..m with
      every entry a |layer|-subset of J; anything else means the
      checkpoint belongs to a different run.  Returns m (0 when empty). *)
@@ -469,10 +442,8 @@ module Make (S : COMPACTABLE) = struct
 
      [on_layer] fires once per completed cardinality layer with that
      layer's (subset, cost, tight choice) triples — the checkpoint
-     hook — {e before} the layer is packed, so a checkpoint-backed spill
-     sink ({!Ovo_store.Checkpoint.sink}) already holds the layer's
-     record when its extents are evicted; the same boundaries [cancel]
-     is polled at.  [resume] preloads the
+     hook — {e before} the layer is packed, at the same boundaries
+     [cancel] is polled at.  [resume] preloads the
      packed layers from previously completed progress and rebuilds the
      last layer's states by replaying the recorded choice chains, so
      the sweep continues exactly where the checkpointed run stopped and
@@ -521,6 +492,11 @@ module Make (S : COMPACTABLE) = struct
           (fun () ->
             let tbl = Hashtbl.create 64 in
             let subs = subsets_of j_set ~size:m in
+            (* replaying a subset's recorded chain over the base yields
+               the state the original sweep materialised for it, bit for
+               bit: node ids are assigned in scan order, a deterministic
+               function of the placement sequence alone (the argument
+               {!Compact.nodes} rests on) *)
             let chains = Layers.chains layers subs in
             Array.iteri
               (fun i ksub ->
@@ -627,9 +603,9 @@ module Make (S : COMPACTABLE) = struct
               | None -> ())
             kept;
           let entries = Array.map (fun (ksub, h, c, _) -> (ksub, c, h)) kept in
-          (* checkpoint first, pack second: once [on_layer] has made the
-             layer durable, a checkpoint-backed spill sink can treat
-             eviction of its extents as a no-op *)
+          (* checkpoint first, pack second: the layer is durable before
+             any of its extents is spilled, so a failure while spilling
+             (or an exit from the hook) never loses a finished layer *)
           on_layer { p_layer = k; p_entries = entries };
           Layers.put_entries layers ~k entries;
           (* eager drop: only the packed extents survive *)
@@ -651,8 +627,7 @@ module Make (S : COMPACTABLE) = struct
       sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
         ~keep_last_states:true ~on_layer ~resume ~base j_set
     in
-    let mincosts, _ = Layers.to_tables layers upto in
-    { j_set; upto; mincosts; layer }
+    { j_set; upto; mincosts = Layers.mincosts layers upto; layer }
 
   let costs ?(trace = Trace.null) ?(engine = Engine.Seq)
       ?(cancel = Cancel.never) ?(metrics = Metrics.create ()) ?membudget ?prune
@@ -663,35 +638,7 @@ module Make (S : COMPACTABLE) = struct
       sweep ~trace ~engine ~cancel ~metrics ~mb ~prune ~upto
         ~keep_last_states:false ~on_layer ~resume ~base j_set
     in
-    let mincosts, choices = Layers.to_tables layers upto in
-    { cost_j_set = j_set; cost_upto = upto; cost_table = mincosts;
-      cost_choice = choices }
-
-  let reconstruct ?(trace = Trace.null) ?(metrics = Metrics.create ()) ~base ct
-      target =
-    if not (Varset.subset target ct.cost_j_set)
-       || Varset.cardinal target > ct.cost_upto
-    then invalid_arg "Subset_dp.reconstruct: target not covered";
-    (* Backtrack the recorded tight transitions: [cost_choice] holds, for
-       every K, the last-placed h of an optimal suborder of K.  Walking
-       it from [target] down to the empty set yields the placement
-       sequence; replaying it over [base] materialises the optimal state
-       in |target| compactions. *)
-    let before = Metrics.snapshot metrics in
-    let st =
-      Trace.with_span trace ~cat:"dp"
-        ~args:(fun () ->
-          ("placements", Ovo_obs.Json.Int (Varset.cardinal target))
-          :: Metrics.to_args (Metrics.diff (Metrics.snapshot metrics) before))
-        "dp.reconstruct"
-        (fun () ->
-          List.fold_left
-            (fun st h -> S.materialise ~metrics st h)
-            base
-            (chain_of ct.cost_choice target))
-    in
-    assert (S.mincost st = Hashtbl.find ct.cost_table target);
-    st
+    Layers.mincosts layers upto
 
   (* Under pruning a subset may have been discarded — surface that as
      {!Bound.Pruned_out} (the branch is provably not worth completing)

@@ -18,19 +18,19 @@
     {!Metrics.t} scratch; results are deterministic and identical to
     {!Engine.Seq}.
 
-    Beyond the classic {!run} (which returns the final layer's states),
-    the {e cost-table mode} {!costs} stores only two integers per subset
-    — [MINCOST⟨K⟩] and the tight last-placed variable — and
-    {!reconstruct} replays those tight transitions over the base to
-    materialise an optimal state in [|K|] compactions, as the paper
-    reconstructs orderings from the DP table.
-
-    Internally every completed cardinality layer is bit-packed into a
-    {!Layer_pack} (9 bytes per subset) and accounted against an optional
-    {!Membudget}: past the budget, completed layers spill to disk
-    through the injected sink and are reloaded lazily during
-    backtracking — results stay bit-identical to the in-memory run under
-    both engines, because packing happens after the parallel join.
+    Every completed cardinality layer is bit-packed into {!Layer_pack}
+    extents holding [MINCOST⟨K⟩] and the tight last-placed variable
+    (9 bytes per subset) and accounted against an optional
+    {!Membudget}: past the budget, extents spill through the injected
+    sink and are reloaded lazily when read back — results stay
+    bit-identical to the in-memory run under both engines, because
+    packing happens after the parallel join.  The packed layers are the
+    only store of finished layers, and one backtrack over them recovers
+    the optimal ordering, as the paper does from its MINCOST table:
+    {!complete} follows the recorded choices from [J] down to [∅] and
+    replays them over the base in [|J|] compactions.  {!run} (which
+    also returns the final layer's states) and {!costs} (the MINCOST
+    table alone) read the same packed layers back.
 
     With a {!Bound.t} context ([?prune]) the sweep becomes an exact
     {e branch-and-bound}: a subset whose cost plus admissible remaining
@@ -66,19 +66,6 @@ module type COMPACTABLE = sig
   (** Variables not yet assigned. *)
 end
 
-type costs = {
-  cost_j_set : Varset.t;
-  cost_upto : int;
-  cost_table : (Varset.t, int) Hashtbl.t;
-      (** [MINCOST⟨base, K⟩] for every computed [K] (including [∅]) *)
-  cost_choice : (Varset.t, int) Hashtbl.t;
-      (** for each [K ≠ ∅], a tight last-placed [h] of the Lemma 7
-          recurrence — the backtracking pointers *)
-}
-(** The cost-table result: two integers per subset, no states.  It is
-    state-independent, so it lives outside the functor and can be shared
-    by every instance. *)
-
 type progress = {
   p_layer : int;  (** the cardinality layer that just completed *)
   p_entries : (Varset.t * int * int) array;
@@ -86,8 +73,8 @@ type progress = {
           of the layer, in enumeration (Gosper) order *)
 }
 (** One completed cardinality layer of a sweep — everything a checkpoint
-    needs to persist, and everything a resumed sweep needs back.  Like
-    {!costs} it is state-independent: rebuilding the layer's states is a
+    needs to persist, and everything a resumed sweep needs back.  It is
+    state-independent: rebuilding the layer's states is a
     deterministic replay of the recorded choice chains, so a resumed run
     is bit-identical to an uninterrupted one under both engines. *)
 
@@ -162,23 +149,12 @@ module type DP = sig
     ?upto:int ->
     base:state ->
     Varset.t ->
-    costs
+    (Varset.t, int) Hashtbl.t
   (** Pure cost-table mode: same sweep, but the final layer's states are
-      never materialised and nothing but the integer tables is returned.
-      Same validation and defaults as {!run}, including [on_layer] and
+      never materialised and only [MINCOST⟨base, K⟩] for every computed
+      [K] (including [∅]) is returned — the [mincosts] of {!run}.  Same
+      validation and defaults as {!run}, including [on_layer] and
       [resume]. *)
-
-  val reconstruct :
-    ?trace:Ovo_obs.Trace.t ->
-    ?metrics:Metrics.t ->
-    base:state ->
-    costs ->
-    Varset.t ->
-    state
-  (** [reconstruct ~base ct k] materialises an optimal state for [K = k]
-      by backtracking [ct.cost_choice] from [k] to [∅] and replaying the
-      resulting placement sequence over [base] — [|k|] compactions
-      total.  Requires [k ⊆ ct.cost_j_set] and [|k| ≤ ct.cost_upto]. *)
 
   val state_of : t -> Varset.t -> state
   (** The kept optimal state of a subset at cardinality [upto].  Raises
@@ -201,11 +177,12 @@ module type DP = sig
     Varset.t ->
     state
   (** Full run; the optimal state for [K = J].  A cost-only sweep
-      followed by a backtrack {e directly over the packed layers} — the
-      hashtable form of {!costs} is never built, at most one layer of
-      states is live at any time, and with a budgeted [membudget]
-      spilled layers are reloaded lazily (one fetch per cardinality), so
-      this is the out-of-core entry point {!Fs.run} drives. *)
+      followed by the backtrack {e directly over the packed layers} —
+      no hashtable is built, at most one layer of states is live at any
+      time, and with a budgeted [membudget] spilled extents are reloaded
+      lazily (only those the chain crosses), so this is the out-of-core
+      entry point {!Fs.run} drives.  Emits the ["dp.reconstruct"] span
+      for the backtrack. *)
 end
 
 module Make (S : COMPACTABLE) : DP with type state = S.state

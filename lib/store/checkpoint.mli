@@ -5,18 +5,16 @@
     [layer] record per completed cardinality layer — the DP's [on_layer]
     hook fires at the same boundaries cancellation is polled.
 
-    Layer records are {e unified with the spill format}: each payload is
-    the whole layer encoded as one full-range {!Ovo_core.Layer_pack}
-    extent (ranks [0 .. C(m,k)-1], subsets placed by
-    {!Ovo_core.Layer_pack.rank_in}), the same bytes a whole-layer spill
-    would write.  That buys two things: checkpoints inherit the pack
-    encoders (compressed v3 or raw v4, whichever is smaller), and the
-    open checkpoint can itself serve as the DP's spill store ({!sink})
-    — a budget+checkpoint run writes each layer to disk {e once}, and
-    extent reloads slice the layer records already on hand.  Records in
-    the pre-unification triple format (record type 1), and layer
-    records in the retired v1/v2 pack formats, end the resume prefix:
-    an old checkpoint degrades to a clean fresh start.
+    Each layer record's payload is the whole layer encoded as one
+    full-range {!Ovo_core.Layer_pack} extent (ranks [0 .. C(m,k)-1],
+    subsets placed by {!Ovo_core.Layer_pack.rank_in}), so checkpoints
+    share the pack encoders (compressed v3 or raw v4, whichever is
+    smaller).  A checkpoint is a write-only log while the sweep runs: a
+    memory-budgeted run spills through {!Spill} like any other, and only
+    {!load}/{!open_resume} read the records back.  Records in the
+    pre-unification triple format (record type 1), and layer records in
+    the retired v1/v2 pack formats, end the resume prefix: an old
+    checkpoint degrades to a clean fresh start.
 
     Because layer states are rebuilt by deterministically replaying the
     recorded choice chains, a run killed at any point and resumed from
@@ -43,15 +41,7 @@ val create : ?fsync:Rlog.fsync -> path:string -> meta -> t
 
 val append_layer : t -> Ovo_core.Subset_dp.progress -> unit
 (** Persist one completed layer — the [on_layer] hook.  The layer must
-    be complete (unpruned); its record doubles as the spill payload
-    {!sink} serves. *)
-
-val sink : t -> Ovo_core.Membudget.sink
-(** The checkpoint as spill store: spilling an extent is a no-op (its
-    layer's record is already appended — the DP checkpoints a layer
-    before packing it) and reloading returns the whole-layer record for
-    {!Ovo_core.Layer_pack.of_src} to slice.  Raises [Failure] on
-    a reload for a layer this writer never appended. *)
+    be complete (unpruned). *)
 
 val close : t -> unit
 

@@ -31,12 +31,12 @@ let unit_tests =
         let tt = Ovo_boolfun.Families.parity 5 in
         let base = C.of_truthtable C.Bdd tt in
         let t = Fss.run ~upto:2 ~base (C.free base) in
-        Helpers.check_int "layer size" 10 (Hashtbl.length t.Fss.layer);
+        Helpers.check_int "layer size" 10 (Hashtbl.length t.Fss.Dp.layer);
         (* mincosts: C(5,1) + C(5,2) + empty = 16 *)
-        Helpers.check_int "summaries" 16 (Hashtbl.length t.Fss.mincosts);
+        Helpers.check_int "summaries" 16 (Hashtbl.length t.Fss.Dp.mincosts);
         Hashtbl.iter
           (fun k _ -> Helpers.check_int "card" 2 (V.cardinal k))
-          t.Fss.layer);
+          t.Fss.Dp.layer);
     Helpers.case "j_set must be free" (fun () ->
         let tt = T.of_string "0110" in
         let base = C.compact (C.of_truthtable C.Bdd tt) 0 in
@@ -115,7 +115,7 @@ let props =
             if V.of_list (Array.to_list order) <> kset then ok := false;
             let re = C.compact_chain base order in
             if re.C.mincost <> st.C.mincost then ok := false)
-          t.Fss.layer;
+          t.Fss.Dp.layer;
         !ok);
     QCheck.Test.make ~name:"ZDD segments match brute force" ~count:40
       (QCheck.pair (Helpers.arb_truthtable ~lo:2 ~hi:4 ()) QCheck.small_int)

@@ -228,26 +228,6 @@ let extent_tests =
           | exception Invalid_argument _ -> true
           | _ -> false);
         Helpers.check_int "size" (30 + (7 * 9)) (Lp.size_bytes x));
-    Helpers.case "whole-layer records serve extent reloads" (fun () ->
-        (* the unified checkpoint story: a full-range v3 or v4 payload
-           contains any extent of that layer *)
-        let j_set = vs_of [ 0; 1; 2; 3; 4; 5; 6 ] in
-        let k = 3 in
-        let t, _ = whole_layer ~j_set ~k in
-        for r = 0 to Lp.total t - 1 do
-          Lp.set t ~rank:r ~cost:(500 + (r * r)) ~choice:(r land 3)
-        done;
-        let total = Lp.binomial 7 3 in
-        List.iter
-          (fun payload ->
-            let x = Lp.of_src payload ~j_set ~k ~total ~lo:10 ~len:9 in
-            Helpers.check_int "len" 9 (Lp.len x);
-            for r = 10 to 18 do
-              Helpers.check_int "cost" (Lp.cost t ~rank:r) (Lp.cost x ~rank:r);
-              Helpers.check_int "choice" (Lp.choice t ~rank:r)
-                (Lp.choice x ~rank:r)
-            done)
-          [ Lp.encode_packed t; Lp.encode_raw t ]);
     Helpers.case "of_src rejects damage cleanly" (fun () ->
         let st = Helpers.rng 99 in
         let x = random_extent st in
@@ -270,13 +250,40 @@ let extent_tests =
           (match Lp.of_src packed ~j_set:other ~k ~total ~lo ~len with
           | exception Failure _ -> true
           | _ -> false);
-        (* a payload that does not contain the requested range *)
-        Helpers.check_bool "containment" true
-          (match
-             Lp.of_src packed ~j_set ~k ~total ~lo ~len:(total - lo)
-           with
-          | exception Failure _ -> len < total - lo
-          | _ -> len = total - lo));
+        (* a payload decodes only as the range its header names: a
+           larger, smaller or shifted request is refused, in either
+           format, never sliced or padded *)
+        let j_set = vs_of [ 0; 1; 2; 3; 4; 5 ] and k = 3 in
+        let total = Lp.binomial 6 k in
+        let filled ~lo ~len =
+          let x = Lp.create ~j_set ~k ~total ~lo ~len in
+          for r = lo to lo + len - 1 do
+            Lp.set x ~rank:r ~cost:(100 + r) ~choice:(r land 3)
+          done;
+          x
+        in
+        let sub = filled ~lo:5 ~len:7 and whole = filled ~lo:0 ~len:total in
+        let refused payload ~lo ~len =
+          match Lp.of_src payload ~j_set ~k ~total ~lo ~len with
+          | exception Failure _ -> true
+          | _ -> false
+        in
+        List.iter
+          (fun encode ->
+            Helpers.check_bool "larger range" true
+              (refused (encode sub) ~lo:0 ~len:total);
+            Helpers.check_bool "smaller range" true
+              (refused (encode whole) ~lo:5 ~len:7);
+            Helpers.check_bool "shifted range" true
+              (refused (encode sub) ~lo:6 ~len:7);
+            Helpers.check_bool "exact range" false
+              (refused (encode sub) ~lo:5 ~len:7))
+          [ Lp.encode_packed; Lp.encode_raw ];
+        (* a raw payload whose header miscounts its set entries *)
+        let raw = Bytes.of_string (Lp.encode_raw sub) in
+        Bytes.set_int32_le raw 22 6l;
+        Helpers.check_bool "present count" true
+          (refused (Bytes.to_string raw) ~lo:5 ~len:7));
   ]
 
 (* --- Membudget -------------------------------------------------------- *)

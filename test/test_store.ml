@@ -394,16 +394,29 @@ let solution_fingerprint (r : Fs.result) =
 
 exception Crash
 
+(* Run [f] under a 1-byte budget spilling 18-byte extents to a fresh
+   Spill directory (removed afterwards); returns [f]'s result and the
+   budget's counters. *)
+let with_spill_budget f =
+  let sp = Ovo_store.Spill.create (tmpdir ()) in
+  let mb =
+    Ovo_core.Membudget.create ~budget_bytes:1 ~extent_bytes:18
+      ~sink:(Ovo_store.Spill.sink sp) ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Ovo_store.Spill.remove sp)
+    (fun () -> (f mb, mb))
+
 (* Run [Fs.run] checkpointing to [path], aborting right after layer
    [stop_after] — the in-process stand-in for kill -9. *)
-let run_until ~engine ~kind ~path ~stop_after tt =
+let run_until ?membudget ~engine ~kind ~path ~stop_after tt =
   let meta = Ck.meta_of ~kind tt in
   let w, layers = Ck.open_resume ~path meta in
   let on_layer (p : Ovo_core.Subset_dp.progress) =
     Ck.append_layer w p;
     if p.Ovo_core.Subset_dp.p_layer = stop_after then raise Crash
   in
-  match Fs.run ~kind ~engine ~on_layer ~resume:layers tt with
+  match Fs.run ~kind ~engine ?membudget ~on_layer ~resume:layers tt with
   | r ->
       Ck.close w;
       Some r
@@ -422,21 +435,33 @@ let checkpoint_resume_prop engine_name engine =
       let n = Tt.arity tt in
       let kind = Ovo_core.Compact.Bdd in
       let plain = solution_fingerprint (Fs.run ~kind ~engine tt) in
+      (* in core, and under a 1-byte budget spilling through Spill *)
+      let in_core f = f None
+      and budgeted f = fst (with_spill_budget (fun mb -> f (Some mb))) in
       List.for_all
-        (fun stop_after ->
+        (fun (stop_after, under) ->
           let path = tmpfile () in
           Fun.protect
             ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
             (fun () ->
               (* interrupt after layer [stop_after] ... *)
-              (match run_until ~engine ~kind ~path ~stop_after tt with
+              (match
+                 under (fun membudget ->
+                     run_until ?membudget ~engine ~kind ~path ~stop_after tt)
+               with
               | None -> ()
               | Some _ -> QCheck.Test.fail_report "run was not interrupted");
               (* ... then resume to completion *)
-              match run_until ~engine ~kind ~path ~stop_after:(n + 1) tt with
+              match
+                under (fun membudget ->
+                    run_until ?membudget ~engine ~kind ~path
+                      ~stop_after:(n + 1) tt)
+              with
               | Some r -> solution_fingerprint r = plain
               | None -> QCheck.Test.fail_report "resumed run crashed"))
-        (List.init (n - 1) (fun i -> i + 1)))
+        (List.concat_map
+           (fun stop_after -> [ (stop_after, in_core); (stop_after, budgeted) ])
+           (List.init (n - 1) (fun i -> i + 1))))
 
 let checkpoint_tests =
   [
@@ -600,7 +625,7 @@ let checkpoint_tests =
         let w, layers = Ck.open_resume ~path meta in
         Helpers.check_int "no layers survive" 0 (List.length layers);
         Ck.close w);
-    Helpers.case "budget+checkpoint writes each layer once" (fun () ->
+    Helpers.case "budget+checkpoint spills through Spill" (fun () ->
         let path = tmpfile () in
         let tt = Tt.of_string "0110100110010110" in
         let n = Tt.arity tt in
@@ -609,20 +634,23 @@ let checkpoint_tests =
         let meta = Ck.meta_of ~kind tt in
         let w, layers = Ck.open_resume ~path meta in
         Helpers.check_int "fresh" 0 (List.length layers);
-        (* 1-byte budget: every layer spills; the checkpoint is the
-           spill store, so reloads slice its layer records *)
-        let mb =
-          Ovo_core.Membudget.create ~budget_bytes:1 ~extent_bytes:18
-            ~sink:(Ck.sink w) ()
-        in
-        let r =
-          Fs.run ~kind ~membudget:mb ~on_layer:(Ck.append_layer w) tt
+        (* 1-byte budget: every layer spills, through Spill segments
+           exactly as without the checkpoint *)
+        let r, mb =
+          with_spill_budget (fun membudget ->
+              Fs.run ~kind ~membudget ~on_layer:(Ck.append_layer w) tt)
         in
         Ck.close w;
         Helpers.check_bool "bit-identical" true
           (solution_fingerprint r = plain);
-        Helpers.check_bool "reloaded from checkpoint" true
+        Helpers.check_bool "reloaded from spill" true
           (Ovo_core.Membudget.reloads mb > 0);
+        let _, mb_plain =
+          with_spill_budget (fun membudget -> Fs.run ~kind ~membudget tt)
+        in
+        Alcotest.(check string) "same mem counters as without the checkpoint"
+          (Ovo_core.Membudget.to_json mb_plain)
+          (Ovo_core.Membudget.to_json mb);
         (* on disk: exactly one meta record plus one record per layer *)
         match Rlog.read path with
         | Ok (records, _) ->
